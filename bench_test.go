@@ -16,6 +16,7 @@ import (
 	"vcgraph/internal/gas"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/pregel"
+	rt "vcgraph/internal/runtime"
 	"vcgraph/internal/seq"
 	"vcgraph/internal/vc"
 )
@@ -344,7 +345,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	})
 	b.Run("checkpoint-64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.HashMinCC(g, vc.Config{Workers: 4, CheckpointEvery: 64}); err != nil {
+			if _, err := vc.HashMinCC(g, vc.Config{Workers: 4, RunEnv: rt.RunEnv{CheckpointEvery: 64}}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -47,7 +47,7 @@ func main() {
 		"evict graphs idle longer than this (0 = keep forever; pinned graphs are never evicted)")
 	sweep := flag.Duration("sweep", time.Minute, "registry eviction sweep interval")
 	ckEvery := flag.Int("checkpoint-every", 0,
-		"default checkpoint cadence (supersteps/epochs) for jobs that do not set checkpoint_every (0 = off)")
+		"default checkpoint cadence (supersteps/epochs) for jobs that do not set checkpoint (0 = off)")
 	fullEvery := flag.Int("full-snapshot-every", 0,
 		"default full-snapshot cadence for jobs that do not set full_snapshot_every; >1 stores the checkpoints between as dirty-set deltas")
 	flag.Parse()

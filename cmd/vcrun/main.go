@@ -153,7 +153,8 @@ func main() {
 	var stats *bsp.Stats
 	start := time.Now()
 	job := sched.Submit(ctx, *algo, share, func(j *runtime.Job) error {
-		cfg := vc.Config{Workers: *workers, Seed: *seed, CheckpointEvery: *checkpoint, FullSnapshotEvery: *fullSnapshot, Faults: fplan, Mode: mode, Job: j, PackedState: *packedState}
+		cfg := vc.Config{Workers: *workers, Seed: *seed, Mode: mode, PackedState: *packedState,
+			RunEnv: runtime.RunEnv{CheckpointEvery: *checkpoint, FullSnapshotEvery: *fullSnapshot, Faults: fplan, Job: j}}
 		var err error
 		if *engine == "auto" {
 			summary, stats, err = runAutoEngine(*algo, g, graph.VertexID(*src), cfg, *seed)
@@ -488,7 +489,7 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 		}
 		return fmt.Sprintf("top hub %d (%.4f)", bhv, bh), res.Stats, nil
 	case "asynccc":
-		labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults, Job: cfg.Job})
+		labels, res, err := async.ConnectedComponents(g, async.Config{RunEnv: cfg.RunEnv})
 		if err != nil {
 			return "", nil, err
 		}
@@ -496,14 +497,14 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 			res.Stats, nil
 	case "asyncsssp":
 		graph.RandomWeights(g, seed+1)
-		_, res, err := async.SSSP(g, src, async.Config{CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults, Job: cfg.Job})
+		_, res, err := async.SSSP(g, src, async.Config{RunEnv: cfg.RunEnv})
 		if err != nil {
 			return "", nil, err
 		}
 		return fmt.Sprintf("shortest paths in %d async updates", res.Updates),
 			res.Stats, nil
 	case "gaspagerank":
-		_, res, err := gas.PageRank(g, 0.85, 1e-9, gas.Config{Workers: cfg.Workers, CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults, Job: cfg.Job})
+		_, res, err := gas.PageRank(g, 0.85, 1e-9, gas.Config{Workers: cfg.Workers, RunEnv: cfg.RunEnv})
 		if err != nil {
 			return "", nil, err
 		}
@@ -549,7 +550,7 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 		}
 		return fmt.Sprintf("%d communities, modularity %.3f", len(distinct), res.Modularity), res.Stats, nil
 	case "blockcc":
-		res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: cfg.Workers, CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults, Job: cfg.Job})
+		res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: cfg.Workers, RunEnv: cfg.RunEnv})
 		if err != nil {
 			return "", nil, err
 		}

@@ -25,9 +25,11 @@ func main() {
 		clean.Stats.NumSupersteps(), clean.Stats.TotalMessages)
 
 	recovered, err := vc.HashMinCC(g, vc.Config{
-		Workers:         4,
-		CheckpointEvery: 64,                       // snapshot every 64 supersteps
-		Faults:          rt.PlanOf(rt.Crash(300)), // machine failure right before superstep 300
+		Workers: 4,
+		RunEnv: rt.RunEnv{
+			CheckpointEvery: 64,                       // snapshot every 64 supersteps
+			Faults:          rt.PlanOf(rt.Crash(300)), // machine failure right before superstep 300
+		},
 	})
 	if err != nil {
 		panic(err)

@@ -53,16 +53,6 @@ type Config struct {
 	// heap order is not part of any snapshot, so a rollback could not
 	// reproduce the schedule.
 	Prioritized bool
-	// CheckpointEvery, when positive, snapshots the computation state
-	// (values, worklist, update count) every k updates — the
-	// asynchronous analogue of a superstep-interval checkpoint. It
-	// also sets the epoch length at which faults are detected.
-	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
-	// a full snapshot; the generations between are dirty-set deltas
-	// covering just the vertices updated since the previous frame
-	// (runtime.DeltaPolicy). 0 or 1 keeps every checkpoint full.
-	FullSnapshotEvery int
 	// Snapshot, when non-nil, is an already-pinned CSR generation the
 	// engine must run against instead of pinning the graph's current
 	// one (the adaptive plan layer re-prepares engines mid-job; see
@@ -73,23 +63,17 @@ type Config struct {
 	// values at the boundary (see runtime.DriverConfig.Replan). Ignored
 	// by the prioritized scheduler, which bypasses the driver.
 	Replan func(step, pending int) bool
-	// Faults, when non-nil, schedules deterministic fault injection
-	// (runtime.FaultPlan) at epoch boundaries: a crash or a lost
-	// activation batch rolls the run back to its newest readable
-	// snapshot (or a fresh restart); a duplicated batch is absorbed
-	// because the FIFO worklist deduplicates scheduled vertices.
-	// FaultEvent.Step counts epochs, not individual updates.
-	Faults *rt.FaultPlan
-	// Ctx, when non-nil, aborts the run at the next epoch boundary (or
-	// between prioritized updates) once cancelled or past its deadline.
-	Ctx context.Context
 	// Pool, when non-nil, is a shared worker pool to lease the engine's
 	// single worker from instead of building a private pool.
 	Pool *rt.Pool
-	// Job, when non-nil, binds the run to a scheduler-admitted job. The
-	// engine is sequential, so the job must be submitted with a worker
-	// share of 1.
-	Job *rt.Job
+	// RunEnv carries the checkpoint cadence, fault plan, cancellation
+	// and job binding (see runtime.RunEnv). One step is an epoch of
+	// CheckpointEvery updates (default 64); a checkpoint covers values,
+	// worklist and update count. A duplicated activation batch is
+	// absorbed because the FIFO worklist deduplicates. Ctx is also
+	// checked between prioritized updates. The engine is sequential, so
+	// a Job must be submitted with a worker share of 1.
+	rt.RunEnv
 	// PackedState selects the bit-packed label-store variant for the
 	// algorithms that have one (ConnectedComponents). Results and
 	// update counts are byte-identical to the dense programs.
@@ -259,18 +243,14 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 		p.PristineValues = rt.CloneValues[V](prog, ctx.values)
 	}
 	d := rt.NewDriver[*rt.WorklistSnapshot[V]](p, stats, rt.DriverConfig{
-		Name:              "async",
-		Workers:           1,
-		MaxSteps:          math.MaxInt,
-		CapErr:            ErrUpdateCap,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		FullSnapshotEvery: cfg.FullSnapshotEvery,
-		Faults:            cfg.Faults,
-		EpochSaves:        true,
-		Ctx:               cfg.Ctx,
-		Pool:              cfg.Pool,
-		Job:               cfg.Job,
-		Replan:            cfg.Replan,
+		Name:       "async",
+		Workers:    1,
+		MaxSteps:   math.MaxInt,
+		CapErr:     ErrUpdateCap,
+		RunEnv:     cfg.RunEnv,
+		EpochSaves: true,
+		Pool:       cfg.Pool,
+		Replan:     cfg.Replan,
 	})
 	return func() (*Result[V], error) {
 		defer g.Unpin(csr)
@@ -284,13 +264,7 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 // pushes (v, current priority); stale entries (v re-updated since the
 // push) are skipped at pop time.
 func runPrioritized[V any](ctx *Context[V], prog Program[V], pr Prioritizer[V], cfg Config) (*Result[V], error) {
-	goCtx := cfg.Ctx
-	if cfg.Job != nil {
-		goCtx = cfg.Job.Context()
-	}
-	if goCtx == nil {
-		goCtx = context.Background()
-	}
+	goCtx := cfg.Context()
 	n := ctx.g.N()
 	pq := &prioQueue{}
 	scheduled := make([]bool, n)
@@ -361,11 +335,17 @@ func (q *prioQueue) Pop() any {
 
 // --- Async SSSP (label-correcting) ---
 
+// ssspProgram's seed, when non-nil, replaces the source-only distances
+// at Init (see SSSPProgramSeeded).
 type ssspProgram struct {
-	src VertexID
+	src  VertexID
+	seed []float64
 }
 
 func (p *ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
+	if p.seed != nil {
+		return p.seed[id]
+	}
 	if id == p.src {
 		return 0
 	}
@@ -509,9 +489,16 @@ func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]f
 
 // --- Async connected components (min-label) ---
 
-type ccProgram struct{}
+// ccProgram's seed, when non-nil, replaces the identity labels at Init
+// (see CCProgramSeeded).
+type ccProgram struct{ seed []VertexID }
 
-func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
+func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
+	if p.seed != nil {
+		return p.seed[id]
+	}
+	return id
+}
 
 func (ccProgram) Update(ctx *Context[VertexID], v VertexID) []VertexID {
 	min := *ctx.Value(v)
@@ -571,36 +558,12 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, 
 // +Inf leaving one.
 const DistInf = inf
 
-type seededCC struct {
-	ccProgram
-	seed []VertexID
-}
-
-func (p seededCC) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
-
 // CCProgramSeeded warm-starts async min-label components from exported
 // labels. Update recomputes from live neighbor values, so re-seeding
 // the full FIFO with partially-converged labels reaches the same
 // fixpoint.
 func CCProgramSeeded(seed []VertexID) Program[VertexID] {
-	return seededCC{seed: seed}
-}
-
-type seededSSSP struct {
-	ssspProgram
-	seed []float64
-}
-
-func (p *seededSSSP) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return p.ssspProgram.Init(g, id)
+	return ccProgram{seed: seed}
 }
 
 // SSSPProgramSeeded warm-starts async label-correcting SSSP from
@@ -608,5 +571,5 @@ func (p *seededSSSP) Init(g *graph.Graph, id VertexID) float64 {
 // DistInf; the Update rule only ever improves values, so any sound
 // upper bound converges to the same distances.
 func SSSPProgramSeeded(src VertexID, seed []float64) Program[float64] {
-	return &seededSSSP{ssspProgram: ssspProgram{src: src}, seed: seed}
+	return &ssspProgram{src: src, seed: seed}
 }

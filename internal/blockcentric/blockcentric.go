@@ -11,7 +11,6 @@
 package blockcentric
 
 import (
-	"context"
 	"math"
 
 	"vcgraph/internal/bsp"
@@ -43,23 +42,6 @@ type Config struct {
 	Partition pregel.Partitioner
 	// MaxSupersteps caps the run (default 1 + 10·(n+64)).
 	MaxSupersteps int
-	// CheckpointEvery, when positive, snapshots the computation state
-	// (values, halt flags, undelivered boundary messages) every k
-	// supersteps for rollback recovery.
-	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
-	// a full snapshot; the generations between are dirty-set deltas
-	// covering just the blocks that computed or received boundary
-	// messages since the previous frame (runtime.DeltaPolicy). 0 or 1
-	// keeps every checkpoint full.
-	FullSnapshotEvery int
-	// Faults, when non-nil, schedules deterministic fault injection
-	// (runtime.FaultPlan): a block crash or a dropped boundary-message
-	// batch rolls the run back to its newest readable snapshot; a
-	// duplicated batch is detected by its sequence number and
-	// discarded. FaultEvent.Worker/Lane address source/destination
-	// blocks.
-	Faults *rt.FaultPlan
 	// Snapshot, when non-nil, is an already-pinned CSR generation the
 	// engine must run against instead of pinning the graph's current
 	// one (the adaptive plan layer re-prepares engines mid-job; see
@@ -85,16 +67,17 @@ type Config struct {
 	// that only ever send across boundaries (the CC and SSSP block
 	// programs here) are unaffected either way.
 	Mode rt.DirectionMode
-	// Ctx, when non-nil, aborts the run at the next superstep barrier
-	// once cancelled or past its deadline (see runtime.DriverConfig).
-	Ctx context.Context
 	// Pool, when non-nil, is a shared worker pool to lease block
 	// goroutines from instead of building a private pool for the run.
 	Pool *rt.Pool
-	// Job, when non-nil, binds the run to a scheduler-admitted job:
-	// Blocks is taken from the job's lease, the run executes under the
-	// job's context, and superstep records stream to the handle.
-	Job *rt.Job
+	// RunEnv carries the checkpoint cadence, fault plan, cancellation
+	// and job binding (see runtime.RunEnv). A checkpoint covers values,
+	// halt flags and undelivered boundary messages; a delta frame
+	// covers the blocks that computed or received boundary messages. A
+	// duplicated boundary batch is detected by its sequence number and
+	// discarded; FaultEvent.Worker/Lane address source/destination
+	// blocks. Under a Job, Blocks is taken from the job's lease.
+	rt.RunEnv
 	// PackedState selects the bit-packed label-store variant for the
 	// algorithms that have one (ConnectedComponents). Results and
 	// superstep counts are byte-identical to the dense programs.
@@ -274,17 +257,13 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	defer e.g.Unpin(e.csr)
 	defer rt.PutScratches(e.scratch)
 	e.driver = rt.NewDriver[*bcSnapshot[V, M]](e, e.stats, rt.DriverConfig{
-		Name:              "blockcentric",
-		Workers:           e.cfg.Blocks,
-		MaxSteps:          e.cfg.MaxSupersteps,
-		CapErr:            ErrSuperstepCap,
-		CheckpointEvery:   e.cfg.CheckpointEvery,
-		FullSnapshotEvery: e.cfg.FullSnapshotEvery,
-		Faults:            e.cfg.Faults,
-		Ctx:               e.cfg.Ctx,
-		Pool:              e.cfg.Pool,
-		Job:               e.cfg.Job,
-		Replan:            e.cfg.Replan,
+		Name:     "blockcentric",
+		Workers:  e.cfg.Blocks,
+		MaxSteps: e.cfg.MaxSupersteps,
+		CapErr:   ErrSuperstepCap,
+		RunEnv:   e.cfg.RunEnv,
+		Pool:     e.cfg.Pool,
+		Replan:   e.cfg.Replan,
 	})
 	_, err := e.driver.Run()
 	e.driver = nil
@@ -640,10 +619,16 @@ func (c *BlockContext[V, M]) VoteToHalt() { c.halt = true }
 // sequential BFS sweeps per superstep (minimum label within each
 // block-local region), then pushes changed labels over boundary edges
 // only. On a path split into B blocks this takes Θ(B) supersteps,
-// versus Θ(n) for vertex-centric Hash-Min.
-type ccProgram struct{}
+// versus Θ(n) for vertex-centric Hash-Min. seed, when non-nil,
+// replaces the identity labels at Init (see CCProgramSeeded).
+type ccProgram struct{ seed []VertexID }
 
-func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
+func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
+	if p.seed != nil {
+		return p.seed[id]
+	}
+	return id
+}
 
 func (ccProgram) ComputeBlock(ctx *BlockContext[VertexID, VertexID], msgs map[VertexID][]VertexID) {
 	// Absorb boundary updates.
@@ -925,24 +910,12 @@ func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*
 // any in-flight message from the previous engine, and fixed-iteration
 // PageRank re-sends shares for the current iterate.
 
-type seededCC struct {
-	ccProgram
-	seed []VertexID
-}
-
-func (p seededCC) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
-
 // CCProgramSeeded warm-starts block-centric min-label components from
 // exported labels (nil seed is the identity cold start). The native
 // superstep-0 whole-block sweep already re-broadcasts every label over
 // boundary edges, so only Init differs.
 func CCProgramSeeded(seed []VertexID) Program[VertexID, VertexID] {
-	return seededCC{seed: seed}
+	return ccProgram{seed: seed}
 }
 
 // ssspResume is ssspProgram with a generalized superstep 0: every

@@ -11,7 +11,6 @@
 package gas
 
 import (
-	"context"
 	"math"
 
 	"vcgraph/internal/bsp"
@@ -50,21 +49,6 @@ type Config struct {
 	// gathers read a double-buffered snapshot, so vertex placement is
 	// invisible to the values.
 	Partition rt.Partitioner
-	// CheckpointEvery, when positive, snapshots the computation state
-	// (values, active set) every k iterations for rollback recovery.
-	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
-	// a full snapshot; the saves in between are delta frames carrying
-	// just the values the iteration applied (only active vertices can
-	// change under double buffering) plus the sparse active set.
-	FullSnapshotEvery int
-	// Faults, when non-nil, schedules deterministic fault injection
-	// (runtime.FaultPlan): worker crashes and corrupted checkpoints
-	// roll the engine back to its last readable snapshot; a dropped
-	// scatter batch (one worker's wake buffer lost in transit) forces
-	// the same rollback, while a duplicated batch is absorbed because
-	// activation delivery is idempotent (a set union).
-	Faults *rt.FaultPlan
 	// Mode selects the scatter direction (gathers always pull): push
 	// materializes per-edge wake buffers; pull has changed vertices
 	// mark a broadcast bit that destinations scan over their transpose
@@ -89,16 +73,18 @@ type Config struct {
 	// returning true aborts the run with runtime.ErrHandoff and the
 	// values at the barrier (see runtime.DriverConfig.Replan).
 	Replan func(step, pending int) bool
-	// Ctx, when non-nil, aborts the run at the next iteration barrier
-	// once cancelled or past its deadline (see runtime.DriverConfig).
-	Ctx context.Context
 	// Pool, when non-nil, is a shared worker pool to lease workers from
 	// instead of building a private pool for the run.
 	Pool *rt.Pool
-	// Job, when non-nil, binds the run to a scheduler-admitted job:
-	// Workers is taken from the job's lease, the run executes under the
-	// job's context, and superstep records stream to the handle.
-	Job *rt.Job
+	// RunEnv carries the checkpoint cadence, fault plan, cancellation
+	// and job binding (see runtime.RunEnv). A checkpoint covers values
+	// and the active set; a delta frame carries just the values the
+	// iteration applied (only active vertices can change under double
+	// buffering). A dropped scatter batch (one worker's wake buffer)
+	// forces a rollback; a duplicated one is absorbed, because
+	// activation delivery is a set union. Under a Job, Workers is taken
+	// from the job's lease.
+	rt.RunEnv
 }
 
 // ErrIterationCap reports a run exceeding Config.MaxIterations. It
@@ -218,17 +204,13 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 
 	stats := &bsp.Stats{Workers: cfg.Workers, N: n}
 	p.driver = rt.NewDriver[*gasSnapshot[V]](p, stats, rt.DriverConfig{
-		Name:              "gas",
-		Workers:           cfg.Workers,
-		MaxSteps:          cfg.MaxIterations,
-		CapErr:            ErrIterationCap,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		FullSnapshotEvery: cfg.FullSnapshotEvery,
-		Faults:            cfg.Faults,
-		Ctx:               cfg.Ctx,
-		Pool:              cfg.Pool,
-		Job:               cfg.Job,
-		Replan:            cfg.Replan,
+		Name:     "gas",
+		Workers:  cfg.Workers,
+		MaxSteps: cfg.MaxIterations,
+		CapErr:   ErrIterationCap,
+		RunEnv:   cfg.RunEnv,
+		Pool:     cfg.Pool,
+		Replan:   cfg.Replan,
 	})
 	return func() (*Result[V], error) {
 		defer g.Unpin(csr)
@@ -593,9 +575,16 @@ func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]f
 
 // --- GAS connected components (HashMin) ---
 
-type ccProgram struct{}
+// ccProgram's seed, when non-nil, replaces the identity labels at Init
+// (see CCProgramSeeded).
+type ccProgram struct{ seed []VertexID }
 
-func (ccProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
+func (p ccProgram) Init(g *graph.Graph, id VertexID) VertexID {
+	if p.seed != nil {
+		return p.seed[id]
+	}
+	return id
+}
 
 func (ccProgram) Gather(u VertexID, w float64, uVal VertexID) VertexID { return uVal }
 
@@ -659,9 +648,17 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, 
 
 // --- GAS single-source shortest paths ---
 
-type ssspProgram struct{ src VertexID }
+// ssspProgram's seed, when non-nil, replaces the source-only distances
+// at Init (see SSSPProgramSeeded).
+type ssspProgram struct {
+	src  VertexID
+	seed []float64
+}
 
 func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
+	if p.seed != nil {
+		return p.seed[id]
+	}
 	if id == p.src {
 		return 0
 	}
@@ -711,48 +708,23 @@ func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *R
 //
 // A live engine handoff (internal/plan) exports vertex values at a
 // superstep barrier and resumes them under another engine. The
-// constructors below build GAS programs whose Init replays those
-// exported values instead of the cold-start state; the gather/apply
-// arithmetic is shared with the native programs, so a warm restart
-// converges to the byte-identical fixpoint.
-
-type seededCC struct {
-	ccProgram
-	seed []VertexID
-}
-
-func (p seededCC) Init(g *graph.Graph, id VertexID) VertexID {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return id
-}
+// constructors below build the native GAS programs with Init replaying
+// those exported values instead of the cold-start state, so a warm
+// restart converges to the byte-identical fixpoint.
 
 // CCProgramSeeded is the HashMin component program warm-started from
 // exported labels (nil seed is the identity cold start). Min-folding
 // is monotone, so re-running from any sound upper bound reaches the
 // same fixpoint bit-for-bit.
 func CCProgramSeeded(seed []VertexID) Program[VertexID, VertexID] {
-	return seededCC{seed: seed}
-}
-
-type seededSSSP struct {
-	ssspProgram
-	seed []float64
-}
-
-func (p seededSSSP) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	return p.ssspProgram.Init(g, id)
+	return ccProgram{seed: seed}
 }
 
 // SSSPProgramSeeded is the pull-relaxation SSSP program warm-started
 // from exported tentative distances (+Inf for unreached vertices; nil
 // seed is the source-only cold start).
 func SSSPProgramSeeded(src VertexID, seed []float64) Program[float64, float64] {
-	return seededSSSP{ssspProgram: ssspProgram{src: src}, seed: seed}
+	return ssspProgram{src: src, seed: seed}
 }
 
 // prFixedK is synchronous power-iteration PageRank for exactly k

@@ -58,9 +58,8 @@ func TestCheckpointRecoveryMatchesCleanRun(t *testing.T) {
 	clean, cleanSS, _ := runCK(t, g, Config[VertexID]{Workers: 3})
 	for _, failAt := range []int{1, 5, 17, 40} {
 		vals, ss, recov := runCK(t, g, Config[VertexID]{
-			Workers:         3,
-			CheckpointEvery: 8,
-			Faults:          rt.PlanOf(rt.Crash(failAt)),
+			Workers: 3,
+			RunEnv:  rt.RunEnv{CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(failAt))},
 		})
 		if recov != 1 {
 			t.Fatalf("failAt=%d: recoveries=%d, want 1", failAt, recov)
@@ -80,7 +79,7 @@ func TestCheckpointRecoveryMatchesCleanRun(t *testing.T) {
 func TestFailureWithoutCheckpointRestartsFromScratch(t *testing.T) {
 	g := graph.Path(32)
 	clean, _, _ := runCK(t, g, Config[VertexID]{Workers: 2})
-	vals, _, recov := runCK(t, g, Config[VertexID]{Workers: 2, Faults: rt.PlanOf(rt.Crash(9))})
+	vals, _, recov := runCK(t, g, Config[VertexID]{Workers: 2, RunEnv: rt.RunEnv{Faults: rt.PlanOf(rt.Crash(9))}})
 	if recov != 1 {
 		t.Fatalf("recoveries=%d", recov)
 	}
@@ -129,7 +128,7 @@ func TestCheckpointDeepCopiesWithValueCloner(t *testing.T) {
 		return out
 	}
 	clean := run(Config[VertexID]{Workers: 2})
-	recovered := run(Config[VertexID]{Workers: 2, CheckpointEvery: 2, Faults: rt.PlanOf(rt.Crash(5))})
+	recovered := run(Config[VertexID]{Workers: 2, RunEnv: rt.RunEnv{CheckpointEvery: 2, Faults: rt.PlanOf(rt.Crash(5))}})
 	for v := range clean {
 		if len(clean[v]) != len(recovered[v]) {
 			t.Fatalf("vertex %d: %d messages vs %d after recovery", v, len(clean[v]), len(recovered[v]))
@@ -144,7 +143,7 @@ func TestCheckpointWithMasterStateAndGlobals(t *testing.T) {
 	g := graph.Path(16)
 	prog := &ckProgram{}
 	eng := NewEngine[VertexID, VertexID](g, prog, Config[VertexID]{
-		Workers: 2, CheckpointEvery: 4, Faults: rt.PlanOf(rt.Crash(7)),
+		Workers: 2, RunEnv: rt.RunEnv{CheckpointEvery: 4, Faults: rt.PlanOf(rt.Crash(7))},
 	})
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)

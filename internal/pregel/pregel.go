@@ -15,7 +15,6 @@
 package pregel
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 
@@ -97,21 +96,6 @@ type Config[M any] struct {
 	// with runtime.ErrHandoff and the values at the barrier — the live
 	// engine-handoff hook (see runtime.DriverConfig.Replan).
 	Replan func(step, pending int) bool
-	// CheckpointEvery, when positive, snapshots the full computation
-	// state every k supersteps (Pregel fault tolerance; see
-	// checkpoint.go for the deep-copy contract).
-	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
-	// a full snapshot; the saves in between are dirty-set delta frames
-	// covering just the vertices that computed, received mail, or
-	// mutated adjacency since the previous frame (see checkpoint.go).
-	FullSnapshotEvery int
-	// Faults, when non-nil, schedules deterministic fault injection
-	// for the run: worker crashes at barriers, dropped/duplicated
-	// mailbox lanes, and corrupted checkpoints, all reproducible from
-	// the plan's seed (see runtime.FaultPlan). Crashes and dropped
-	// lanes roll the engine back to its last readable checkpoint.
-	Faults *rt.FaultPlan
 	// Mode selects the message path direction: push (every message is
 	// materialized through the mailbox), pull (supersteps with a
 	// combiner gather broadcasts over CSR transpose spans), or auto
@@ -122,16 +106,14 @@ type Config[M any] struct {
 	// which a superstep is pulled, as a fraction of n
 	// (<= 0 means runtime.DefaultPullThreshold, 1/20).
 	PullThreshold float64
-	// Ctx, when non-nil, aborts the run at the next superstep barrier
-	// once cancelled or past its deadline (see runtime.DriverConfig).
-	Ctx context.Context
 	// Pool, when non-nil, is a shared worker pool to lease workers from
 	// instead of building a private pool for the run.
 	Pool *rt.Pool
-	// Job, when non-nil, binds the run to a scheduler-admitted job:
-	// Workers is taken from the job's lease, the run executes under the
-	// job's context, and superstep records stream to the handle.
-	Job *rt.Job
+	// RunEnv carries the checkpoint cadence, fault plan, cancellation
+	// and job binding (see runtime.RunEnv; checkpoint.go has what a
+	// pregel checkpoint covers). Under a Job, Workers is taken from the
+	// job's lease.
+	rt.RunEnv
 }
 
 // ErrSuperstepCap reports that the run exceeded Config.MaxSupersteps.
@@ -401,17 +383,13 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	e.wl.FillAll(e.verts)
 
 	e.driver = rt.NewDriver[*checkpoint[V, M]](e, e.stats, rt.DriverConfig{
-		Name:              "pregel",
-		Workers:           e.cfg.Workers,
-		MaxSteps:          e.cfg.MaxSupersteps,
-		CapErr:            ErrSuperstepCap,
-		CheckpointEvery:   e.cfg.CheckpointEvery,
-		FullSnapshotEvery: e.cfg.FullSnapshotEvery,
-		Faults:            e.cfg.Faults,
-		Ctx:               e.cfg.Ctx,
-		Pool:              e.cfg.Pool,
-		Job:               e.cfg.Job,
-		Replan:            e.cfg.Replan,
+		Name:     "pregel",
+		Workers:  e.cfg.Workers,
+		MaxSteps: e.cfg.MaxSupersteps,
+		CapErr:   ErrSuperstepCap,
+		RunEnv:   e.cfg.RunEnv,
+		Pool:     e.cfg.Pool,
+		Replan:   e.cfg.Replan,
 	})
 	steps, err := e.driver.Run()
 	e.driver = nil

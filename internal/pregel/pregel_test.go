@@ -471,7 +471,7 @@ func TestCheckpointWithCustomPartition(t *testing.T) {
 	clean := run(Config[VertexID]{Workers: 3, Partition: PartitionDegreeBalanced})
 	rec := run(Config[VertexID]{
 		Workers: 3, Partition: PartitionDegreeBalanced,
-		CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(20)),
+		RunEnv: rt.RunEnv{CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(20))},
 	})
 	for v := range clean {
 		if clean[v] != rec[v] {

@@ -102,7 +102,7 @@ type RollbackWeigher interface {
 // for each dependent delta frame in save order.
 //
 // The driver only takes delta snapshots between full ones
-// (DriverConfig.FullSnapshotEvery) and forces the save after any
+// (RunEnv.FullSnapshotEvery) and forces the save after any
 // rollback to be full — a restore rewrites state wholesale, so the
 // dirty set no longer describes a patch against any stored frame.
 type DeltaPolicy[S any] interface {
@@ -120,8 +120,61 @@ type SnapshotSizer[S any] interface {
 	FrameBytes(snap S) int64
 }
 
-// DriverConfig parameterizes a Driver run.
+// RunEnv is the run environment every engine shares: how a run is
+// checkpointed, fault-injected, cancelled, and bound to a job. Engines
+// differ in how they execute a superstep, not in these, so each engine
+// config embeds RunEnv and hands it to the Driver unchanged. A "step"
+// below is the engine's barrier unit: a superstep (pregel,
+// block-centric), an iteration (gas), or an epoch of updates (the
+// async engine and the incremental worklist drains).
+type RunEnv struct {
+	// CheckpointEvery > 0 snapshots the barrier state every k steps for
+	// rollback recovery. The epoch-based engines instead make an epoch
+	// k updates long (default 64) and checkpoint at every epoch
+	// boundary, where faults are also detected.
+	CheckpointEvery int
+	// FullSnapshotEvery > 1 stores only every Nth checkpoint as a full
+	// snapshot when the engine supports deltas (DeltaPolicy); the saves
+	// in between are dirty-set delta frames patching the previous one.
+	// 0 or 1 keeps every checkpoint full.
+	FullSnapshotEvery int
+	// Faults schedules deterministic fault injection (nil = none):
+	// worker crashes at barriers, dropped or duplicated message
+	// batches, and corrupted checkpoints, all reproducible from the
+	// plan's seed. A crash or a lost batch rolls the run back to its
+	// newest readable checkpoint (or a fresh start); FaultEvent.Step
+	// counts the engine's steps.
+	Faults *FaultPlan
+	// Ctx, when non-nil, gates every barrier: once it is cancelled or
+	// past its deadline the run aborts at the next barrier — before
+	// fault firing and rollback, so an abort never replays work — and
+	// Run returns the context's cause. nil = never aborted.
+	Ctx context.Context
+	// Job, when non-nil, binds the run to a scheduler-admitted job
+	// handle: the run executes on the job's lease, under the job's
+	// context (overriding Ctx), and publishes each superstep record to
+	// the handle for streaming. Engines take their worker count from
+	// Job.Workers(), so the job's admitted share must match it: 1 for
+	// the sequential engines.
+	Job *Job
+}
+
+// Context is the context the run executes under: the job's when the
+// run is bound to one, else Ctx, else context.Background().
+func (e RunEnv) Context() context.Context {
+	if e.Job != nil {
+		return e.Job.Context()
+	}
+	if e.Ctx != nil {
+		return e.Ctx
+	}
+	return context.Background()
+}
+
+// DriverConfig parameterizes a Driver run. Supersteps are priced with
+// bsp.DefaultModel.
 type DriverConfig struct {
+	RunEnv
 	// Name prefixes the cap error ("pregel: superstep cap reached ...").
 	Name string
 	// Workers sizes the pool and the per-superstep stat slices.
@@ -130,40 +183,16 @@ type DriverConfig struct {
 	MaxSteps int
 	// CapErr is the engine's sentinel (normally bsp.ErrSuperstepCap).
 	CapErr error
-	// CheckpointEvery > 0 snapshots the barrier state every k steps.
-	CheckpointEvery int
-	// FullSnapshotEvery > 1 stores only every Nth checkpoint as a full
-	// snapshot when the policy implements DeltaPolicy; the saves in
-	// between are dirty-set delta frames patching the previous one.
-	// 0 (or 1, or a policy without delta support) keeps every
-	// checkpoint full — the legacy behavior.
-	FullSnapshotEvery int
-	// Faults schedules deterministic fault injection (nil = none).
-	Faults *FaultPlan
 	// EpochSaves selects the async engine's checkpoint ordering: the
 	// snapshot is taken at the top of every barrier, after fault
 	// detection — instead of at the end of every k-th superstep, before
 	// the next barrier's fault check.
 	EpochSaves bool
-	// Model prices each superstep; zero value means bsp.DefaultModel.
-	Model bsp.CostModel
-	// Ctx, when non-nil, gates every superstep barrier: once it is
-	// cancelled or past its deadline the run aborts at the next barrier
-	// — before fault firing and rollback, so an abort never replays
-	// work — and Run returns the context's cause. nil = never aborted.
-	Ctx context.Context
 	// Pool, when non-nil, is a caller-owned shared worker pool: the
 	// driver leases Workers virtual workers from it for the run instead
 	// of building (and tearing down) a private pool. The pool outlives
 	// the run and may serve other runs concurrently.
 	Pool *Pool
-	// Job, when non-nil, binds the run to a scheduler-admitted job
-	// handle: the run executes on the job's lease, under the job's
-	// context (overriding Ctx), and publishes each superstep record to
-	// the handle for streaming. The job's admitted share must equal
-	// Workers — engines derive Workers from Job.Workers() to guarantee
-	// it.
-	Job *Job
 	// Replan, when non-nil, is consulted at every superstep barrier
 	// after fault detection, rollback, and the quiescence check — the
 	// point where the engine's state is complete and consistent.
@@ -179,7 +208,6 @@ type Driver[S any] struct {
 	cfg   DriverConfig
 	pol   Policy[S]
 	stats *bsp.Stats
-	model bsp.CostModel
 
 	lease *Lease
 	inj   *Injector
@@ -207,11 +235,7 @@ type ckFrame[S any] struct {
 // NewDriver builds a driver for pol, charging instrumentation into
 // stats.
 func NewDriver[S any](pol Policy[S], stats *bsp.Stats, cfg DriverConfig) *Driver[S] {
-	model := cfg.Model
-	if model == (bsp.CostModel{}) {
-		model = bsp.DefaultModel
-	}
-	return &Driver[S]{cfg: cfg, pol: pol, stats: stats, model: model}
+	return &Driver[S]{cfg: cfg, pol: pol, stats: stats}
 }
 
 // Lease returns the run's worker lease (valid during Run): the view
@@ -244,13 +268,7 @@ func (d *Driver[S]) Run() (steps int, err error) {
 		d.stats.HeapInuseDelta += int64(m1.HeapInuse) - int64(m0.HeapInuse)
 		d.stats.TotalAllocDelta += m1.TotalAlloc - m0.TotalAlloc
 	}()
-	ctx := d.cfg.Ctx
-	if d.cfg.Job != nil {
-		ctx = d.cfg.Job.Context()
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	ctx := d.cfg.Context()
 	// Worker substrate, by preference: the job's admitted lease, a
 	// lease on a caller-shared pool, or — the legacy fallback — a
 	// private pool built for this run alone.
@@ -389,7 +407,7 @@ func (d *Driver[S]) recordSerialStep(work, active int64) {
 func (d *Driver[S]) record(ss bsp.SuperstepStats) {
 	ss.MaxWork = ss.W()
 	ss.MaxComm = ss.H()
-	ss.Cost = d.model.SuperstepTime(ss)
+	ss.Cost = bsp.DefaultModel.SuperstepTime(ss)
 	for w := range ss.Work {
 		d.stats.TotalWork += ss.Work[w]
 		d.stats.TotalMessages += ss.Sent[w]

@@ -88,8 +88,8 @@ func TestDriverCtxAbortsWithoutRollback(t *testing.T) {
 	// Faults scheduled but the abort must win at the barrier: no fault
 	// fires, no rollback happens, and the cause comes back wrapped.
 	_, d, stats := runCounting(1000, DriverConfig{
-		Name: "test", Workers: 2, MaxSteps: 10000, Ctx: ctx,
-		CheckpointEvery: 2, Faults: NewFaultPlan(7),
+		Name: "test", Workers: 2, MaxSteps: 10000,
+		RunEnv: RunEnv{Ctx: ctx, CheckpointEvery: 2, Faults: NewFaultPlan(7)},
 	})
 	steps, err := d.Run()
 	if !errors.Is(err, context.Canceled) {
@@ -107,7 +107,7 @@ func TestDriverCtxDeadlineCause(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	<-ctx.Done()
-	_, d, _ := runCounting(1000, DriverConfig{Name: "test", Workers: 1, MaxSteps: 10000, Ctx: ctx})
+	_, d, _ := runCounting(1000, DriverConfig{Name: "test", Workers: 1, MaxSteps: 10000, RunEnv: RunEnv{Ctx: ctx}})
 	if _, err := d.Run(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -210,7 +210,7 @@ func TestJobCancelMidRunFreesSlotAndRunsCleanups(t *testing.T) {
 	job := s.Submit(context.Background(), "test", 2, func(j *Job) error {
 		j.OnCleanup(func() { cleaned = append(cleaned, "first") })
 		j.OnCleanup(func() { cleaned = append(cleaned, "second") })
-		p, d, _ := runCounting(1000, DriverConfig{Name: "test", Workers: 2, MaxSteps: 10000, Job: j})
+		p, d, _ := runCounting(1000, DriverConfig{Name: "test", Workers: 2, MaxSteps: 10000, RunEnv: RunEnv{Job: j}})
 		p.block = block
 		_, err := d.Run()
 		return err
@@ -241,7 +241,7 @@ func TestJobTraceStreams(t *testing.T) {
 	s := NewScheduler(2, 1)
 	defer s.Close()
 	job := s.Submit(context.Background(), "trace", 2, func(j *Job) error {
-		_, d, _ := runCounting(5, DriverConfig{Name: "trace", Workers: 2, MaxSteps: 100, Job: j})
+		_, d, _ := runCounting(5, DriverConfig{Name: "trace", Workers: 2, MaxSteps: 100, RunEnv: RunEnv{Job: j}})
 		_, err := d.Run()
 		return err
 	})

@@ -140,6 +140,13 @@ func TestHTTPErrors(t *testing.T) {
 		GraphSpec{Name: "g", Gen: "connected", N: 300, M: 900, Seed: 1}, http.StatusCreated)
 	doJSON(t, "POST", ts.URL+"/v1/jobs",
 		JobSpec{Graph: "g", Algo: "kcore", Engine: "async"}, http.StatusBadRequest)
+	// An sssp source outside [0, n) is a bad request, not a job.
+	doJSON(t, "POST", ts.URL+"/v1/jobs",
+		JobSpec{Graph: "g", Algo: "sssp", Engine: "inc", Src: 5000}, http.StatusBadRequest)
+	// "checkpoint" is the only wire name for the cadence: the retired
+	// "checkpoint_every" alias is an unknown field.
+	doJSON(t, "POST", ts.URL+"/v1/jobs",
+		map[string]any{"graph": "g", "algo": "pagerank", "checkpoint_every": 2}, http.StatusBadRequest)
 
 	grown := doJSON(t, "POST", ts.URL+"/v1/graphs/g/edges",
 		map[string]any{"edges": [][]float64{{0, 7}, {1, 9, 0.5}}}, http.StatusOK)

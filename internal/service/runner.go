@@ -33,7 +33,9 @@ type runResult struct {
 	auto *vc.AutoResult
 }
 
-// incStateBox holds whichever incremental state the job produced.
+// incStateBox holds whichever incremental state a job produced, or the
+// warm-start state an incremental job resumes from; the zero value
+// means a cold start.
 type incStateBox struct {
 	cc   *vc.IncCCState
 	sssp *vc.IncSSSPState
@@ -54,21 +56,14 @@ func (b *incStateBox) cold() bool {
 	return true
 }
 
-// incPrior is the warm-start state resolved from a resume target.
-type incPrior struct {
-	cc   *vc.IncCCState
-	sssp *vc.IncSSSPState
-	pr   *vc.IncPRState
-}
-
 // priorFromResult reconstructs warm-start state from a prior job's
 // result. An incremental prior hands over its state directly; a plain
 // prior seeds CC/SSSP from its converged values and prepare-time epoch
 // (their fixpoints are engine-independent — SSSP modulo the
 // unreachable sentinel, normalized here).
-func priorFromResult(spec JobSpec, res *runResult) *incPrior {
+func priorFromResult(spec JobSpec, res *runResult) incStateBox {
 	if res.inc != nil {
-		return &incPrior{cc: res.inc.cc, sssp: res.inc.sssp, pr: res.inc.pr}
+		return *res.inc
 	}
 	switch spec.Algo {
 	case "cc":
@@ -76,7 +71,7 @@ func priorFromResult(spec JobSpec, res *runResult) *incPrior {
 		for i, v := range res.values {
 			labels[i] = graph.VertexID(v)
 		}
-		return &incPrior{cc: &vc.IncCCState{Epoch: res.epoch, Labels: labels}}
+		return incStateBox{cc: &vc.IncCCState{Epoch: res.epoch, Labels: labels}}
 	case "sssp":
 		dist := make([]float64, len(res.values))
 		for i, d := range res.values {
@@ -85,30 +80,282 @@ func priorFromResult(spec JobSpec, res *runResult) *incPrior {
 			}
 			dist[i] = d
 		}
-		return &incPrior{sssp: &vc.IncSSSPState{Epoch: res.epoch, Src: graph.VertexID(spec.Src), Dist: dist}}
+		return incStateBox{sssp: &vc.IncSSSPState{Epoch: res.epoch, Src: graph.VertexID(spec.Src), Dist: dist}}
 	}
-	return nil
+	return incStateBox{}
 }
 
-// engines is the serving matrix: every algorithm runs on pregel;
+// servingKey names one cell of the serving matrix.
+type servingKey struct{ algo, engine string }
+
+// servingEntry is one (algorithm, engine) pair the daemon serves.
+// prepare is the prepare phase of a job: it is called with the graph's
+// read lock held, constructs the engine (pinning a CSR snapshot and
+// performing every read of the mutable adjacency), and returns a
+// closure that runs lock-free against the snapshot. sequential marks
+// the engines whose driver runs one worker — the asynchronous engine
+// and the incremental worklist drain — so the job's lease share must
+// be 1.
+type servingEntry struct {
+	prepare    func(g *graph.Graph, p *jobPrep) func() (*runResult, error)
+	sequential bool
+}
+
+// jobPrep is what a serving entry prepares a job from: the defaulted,
+// validated spec, the run environment built once from it, the parsed
+// direction mode, the resolved warm-start state (inc only), and the
+// server's plan-decision observer (auto only).
+type jobPrep struct {
+	spec      JobSpec
+	env       rt.RunEnv
+	mode      rt.DirectionMode
+	prior     incStateBox
+	planTrace func(jobID int64, d plan.Decision)
+}
+
+// autoConfig is the plan layer's config. spec.Mode and spec.FCS are
+// not passed: under "auto" the planner owns both knobs.
+func (p *jobPrep) autoConfig() vc.AutoConfig {
+	cfg := vc.AutoConfig{Config: vc.Config{Workers: p.spec.Workers, RunEnv: p.env}}
+	if trace := p.planTrace; trace != nil {
+		id := p.env.Job.ID()
+		cfg.Trace = func(d plan.Decision) { trace(id, d) }
+	}
+	return cfg
+}
+
+// serving is the serving matrix: every algorithm runs on pregel;
 // pagerank/sssp/cc also run on gas, async, blockcentric, the
 // incremental (evolving-graph) engine, and "auto" — the adaptive plan
 // layer, which samples the graph, picks an engine/partition/mode, and
-// may hand off between engines at superstep barriers mid-run.
-var engines = map[string]map[string]bool{
-	"pagerank": {"pregel": true, "gas": true, "async": true, "blockcentric": true, "inc": true, "auto": true},
-	"sssp":     {"pregel": true, "gas": true, "async": true, "blockcentric": true, "inc": true, "auto": true},
-	"cc":       {"pregel": true, "gas": true, "async": true, "blockcentric": true, "inc": true, "auto": true},
-	"kcore":    {"pregel": true},
+// may hand off between engines at superstep barriers mid-run, with its
+// decision log and graph statistics landing in runResult.auto. The inc
+// entries pin a delta view and perform the seed analysis under the
+// read lock, and carry their incremental state in runResult.inc so
+// the next resume can chain from the job.
+var serving = map[servingKey]servingEntry{
+	{"pagerank", "pregel"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PreparePageRank(g, p.spec.Alpha, p.spec.K, vc.Config{Mode: p.mode, FCS: p.spec.FCS, RunEnv: p.env})
+		return func() (*runResult, error) {
+			res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(res.Ranks, res.Stats), nil
+		}
+	}},
+	{"sssp", "pregel"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareSSSP(g, graph.VertexID(p.spec.Src), vc.Config{Mode: p.mode, FCS: p.spec.FCS, RunEnv: p.env})
+		return func() (*runResult, error) {
+			res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(res.Dist, res.Stats), nil
+		}
+	}},
+	{"cc", "pregel"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareHashMinCC(g, vc.Config{Mode: p.mode, FCS: p.spec.FCS, RunEnv: p.env})
+		return func() (*runResult, error) {
+			res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(idsToFloats(res.Color), res.Stats), nil
+		}
+	}},
+	{"kcore", "pregel"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareKCore(g, vc.Config{Mode: p.mode, FCS: p.spec.FCS, RunEnv: p.env})
+		return func() (*runResult, error) {
+			res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			vals := make([]float64, len(res.Core))
+			for v, c := range res.Core {
+				vals[v] = float64(c)
+			}
+			return result(vals, res.Stats), nil
+		}
+	}},
+
+	{"pagerank", "gas"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := gas.PreparePageRank(g, p.spec.Alpha, p.spec.Eps, gas.Config{Mode: p.mode, RunEnv: p.env})
+		return func() (*runResult, error) {
+			ranks, res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(ranks, res.Stats), nil
+		}
+	}},
+	{"sssp", "gas"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := gas.PrepareSSSP(g, graph.VertexID(p.spec.Src), gas.Config{Mode: p.mode, RunEnv: p.env})
+		return func() (*runResult, error) {
+			dist, res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(dist, res.Stats), nil
+		}
+	}},
+	{"cc", "gas"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := gas.PrepareConnectedComponents(g, gas.Config{Mode: p.mode, RunEnv: p.env})
+		return func() (*runResult, error) {
+			labels, res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(idsToFloats(labels), res.Stats), nil
+		}
+	}},
+
+	{"pagerank", "async"}: {sequential: true, prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := async.PreparePageRank(g, p.spec.Alpha, p.spec.Eps, async.Config{RunEnv: p.env})
+		return func() (*runResult, error) {
+			ranks, res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(ranks, res.Stats), nil
+		}
+	}},
+	{"sssp", "async"}: {sequential: true, prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := async.PrepareSSSP(g, graph.VertexID(p.spec.Src), async.Config{RunEnv: p.env})
+		return func() (*runResult, error) {
+			dist, res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(dist, res.Stats), nil
+		}
+	}},
+	{"cc", "async"}: {sequential: true, prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := async.PrepareConnectedComponents(g, async.Config{RunEnv: p.env})
+		return func() (*runResult, error) {
+			labels, res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(idsToFloats(labels), res.Stats), nil
+		}
+	}},
+
+	{"pagerank", "blockcentric"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := blockcentric.PreparePageRank(g, p.spec.Alpha, p.spec.K, blockcentric.Config{RunEnv: p.env})
+		return func() (*runResult, error) {
+			res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(res.Ranks, res.Stats), nil
+		}
+	}},
+	{"sssp", "blockcentric"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := blockcentric.PrepareSSSP(g, graph.VertexID(p.spec.Src), blockcentric.Config{RunEnv: p.env})
+		return func() (*runResult, error) {
+			res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(res.Dist, res.Stats), nil
+		}
+	}},
+	{"cc", "blockcentric"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{RunEnv: p.env})
+		return func() (*runResult, error) {
+			res, err := run()
+			if err != nil {
+				return nil, err
+			}
+			return result(idsToFloats(res.Color), res.Stats), nil
+		}
+	}},
+
+	{"pagerank", "inc"}: {sequential: true, prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareIncrementalPageRank(g, p.spec.Alpha, p.spec.K, p.prior.pr, vc.IncConfig{RunEnv: p.env})
+		return func() (*runResult, error) {
+			st, stats, err := run()
+			if err != nil {
+				return nil, err
+			}
+			res := result(st.Ranks(), stats)
+			res.inc = &incStateBox{pr: st}
+			return res, nil
+		}
+	}},
+	{"sssp", "inc"}: {sequential: true, prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareIncrementalSSSP(g, graph.VertexID(p.spec.Src), p.prior.sssp, vc.IncConfig{RunEnv: p.env})
+		return func() (*runResult, error) {
+			st, stats, err := run()
+			if err != nil {
+				return nil, err
+			}
+			res := result(st.Dist, stats)
+			res.inc = &incStateBox{sssp: st}
+			return res, nil
+		}
+	}},
+	{"cc", "inc"}: {sequential: true, prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareIncrementalCC(g, p.prior.cc, vc.IncConfig{RunEnv: p.env})
+		return func() (*runResult, error) {
+			st, stats, err := run()
+			if err != nil {
+				return nil, err
+			}
+			res := result(idsToFloats(st.Labels), stats)
+			res.inc = &incStateBox{cc: st}
+			return res, nil
+		}
+	}},
+
+	{"pagerank", "auto"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareAutoPageRank(g, p.spec.Alpha, p.spec.K, p.autoConfig())
+		return func() (*runResult, error) {
+			res, ar, err := run()
+			if err != nil {
+				return nil, err
+			}
+			out := result(res.Ranks, ar.Stats)
+			out.auto = ar
+			return out, nil
+		}
+	}},
+	{"sssp", "auto"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareAutoSSSP(g, graph.VertexID(p.spec.Src), p.autoConfig())
+		return func() (*runResult, error) {
+			res, ar, err := run()
+			if err != nil {
+				return nil, err
+			}
+			out := result(res.Dist, ar.Stats)
+			out.auto = ar
+			return out, nil
+		}
+	}},
+	{"cc", "auto"}: {prepare: func(g *graph.Graph, p *jobPrep) func() (*runResult, error) {
+		run := vc.PrepareAutoHashMinCC(g, p.autoConfig())
+		return func() (*runResult, error) {
+			res, ar, err := run()
+			if err != nil {
+				return nil, err
+			}
+			out := result(idsToFloats(res.Color), ar.Stats)
+			out.auto = ar
+			return out, nil
+		}
+	}},
 }
 
 // validEngines enumerates the engines an algorithm runs on, sorted,
-// for error messages. Derived from the registry so the text can never
-// drift from the matrix.
+// for error messages. Derived from the serving table so the text can
+// never drift from it.
 func validEngines(algo string) []string {
-	names := make([]string, 0, len(engines[algo]))
-	for e := range engines[algo] {
-		names = append(names, e)
+	var names []string
+	for k := range serving {
+		if k.algo == algo {
+			names = append(names, k.engine)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -117,16 +364,12 @@ func validEngines(algo string) []string {
 // withDefaults folds the server-level checkpoint cadence defaults
 // (Options) into unset spec fields, then the per-field fallbacks.
 func (s *Server) withDefaults(spec JobSpec) JobSpec {
-	if spec.Checkpoint == 0 && spec.CheckpointEvery == 0 {
+	if spec.Checkpoint == 0 {
 		spec.Checkpoint = s.opts.DefaultCheckpointEvery
 	}
 	if spec.FullSnapshot == 0 {
 		spec.FullSnapshot = s.opts.DefaultFullSnapshotEvery
 	}
-	return withDefaults(spec)
-}
-
-func withDefaults(spec JobSpec) JobSpec {
 	if spec.Incremental && spec.Engine == "" {
 		spec.Engine = "inc"
 	}
@@ -145,364 +388,50 @@ func withDefaults(spec JobSpec) JobSpec {
 	if spec.Eps == 0 {
 		spec.Eps = 1e-9
 	}
-	if spec.Checkpoint == 0 {
-		spec.Checkpoint = spec.CheckpointEvery
-	}
 	if spec.Faults != 0 && spec.Checkpoint == 0 {
 		spec.Checkpoint = 2
 	}
 	return spec
 }
 
-func validateSpec(spec JobSpec) error {
-	byEngine, ok := engines[spec.Algo]
+// validateSpec checks a defaulted spec against the serving table and
+// the graph's vertex count n, returning the pair's entry and the
+// parsed direction mode.
+func validateSpec(spec JobSpec, n int) (servingEntry, rt.DirectionMode, error) {
+	entry, ok := serving[servingKey{spec.Algo, spec.Engine}]
 	if !ok {
-		return fmt.Errorf("service: unknown algorithm %q", spec.Algo)
-	}
-	if !byEngine[spec.Engine] {
-		return fmt.Errorf("service: algorithm %q does not run on engine %q (valid engines: %s)",
-			spec.Algo, spec.Engine, strings.Join(validEngines(spec.Algo), ", "))
+		valid := validEngines(spec.Algo)
+		if len(valid) == 0 {
+			return entry, 0, fmt.Errorf("service: unknown algorithm %q", spec.Algo)
+		}
+		return entry, 0, fmt.Errorf("service: algorithm %q does not run on engine %q (valid engines: %s)",
+			spec.Algo, spec.Engine, strings.Join(valid, ", "))
 	}
 	if spec.Resume != 0 && spec.Engine != "inc" {
-		return fmt.Errorf("service: resume requires the inc engine, got %q", spec.Engine)
+		return entry, 0, fmt.Errorf("service: resume requires the inc engine, got %q", spec.Engine)
 	}
-	if _, err := rt.ParseDirectionMode(modeOrAuto(spec.Mode)); err != nil {
-		return fmt.Errorf("service: %w", err)
+	if spec.Algo == "sssp" && (spec.Src < 0 || spec.Src >= n) {
+		return entry, 0, fmt.Errorf("service: sssp source %d outside [0, %d)", spec.Src, n)
 	}
-	return nil
-}
-
-func modeOrAuto(m string) string {
-	if m == "" {
-		return "auto"
-	}
-	return m
-}
-
-func faultPlan(spec JobSpec) *rt.FaultPlan {
-	if spec.Faults == 0 {
-		return nil
-	}
-	return rt.NewFaultPlan(spec.Faults)
-}
-
-// prepareRunner is the prepare phase of a job: it is called with the
-// graph's read lock held, constructs the engine for spec's algorithm ×
-// engine pair (pinning a CSR snapshot and performing every read of the
-// mutable adjacency), and returns a closure that runs lock-free
-// against the snapshot. spec has passed withDefaults and validateSpec.
-func (s *Server) prepareRunner(g *graph.Graph, spec JobSpec, prior *incPrior, job *rt.Job) (func() (*runResult, error), error) {
-	switch spec.Engine {
-	case "pregel":
-		return preparePregel(g, spec, job)
-	case "gas":
-		return prepareGAS(g, spec, job)
-	case "async":
-		return prepareAsync(g, spec, job)
-	case "blockcentric":
-		return prepareBlock(g, spec, job)
-	case "inc":
-		return prepareInc(g, spec, prior, job)
-	case "auto":
-		return s.prepareAuto(g, spec, job)
-	}
-	return nil, fmt.Errorf("service: unknown engine %q", spec.Engine)
-}
-
-// prepareAuto serves the adaptive plan layer: the orchestrator samples
-// the pinned snapshot, picks the initial engine/partition/mode, and
-// replans at superstep barriers, handing vertex state off live between
-// engines. spec.Mode and spec.FCS are ignored — under "auto" the
-// planner owns both knobs. The decision log and graph statistics land
-// in runResult.auto for the status endpoint.
-func (s *Server) prepareAuto(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	cfg := vc.AutoConfig{Config: vc.Config{
-		Workers:           spec.Workers,
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}}
-	if trace := s.opts.PlanTrace; trace != nil {
-		id := job.ID()
-		cfg.Trace = func(d plan.Decision) { trace(id, d) }
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := vc.PrepareAutoPageRank(g, spec.Alpha, spec.K, cfg)
-		return func() (*runResult, error) {
-			res, ar, err := run()
-			if err != nil {
-				return nil, err
-			}
-			out := result(res.Ranks, ar.Stats, prVerdict(res.Ranks))
-			out.auto = ar
-			return out, nil
-		}, nil
-	case "sssp":
-		run := vc.PrepareAutoSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			res, ar, err := run()
-			if err != nil {
-				return nil, err
-			}
-			out := result(res.Dist, ar.Stats, ssspVerdict(res.Dist, spec.Src))
-			out.auto = ar
-			return out, nil
-		}, nil
-	case "cc":
-		run := vc.PrepareAutoHashMinCC(g, cfg)
-		return func() (*runResult, error) {
-			res, ar, err := run()
-			if err != nil {
-				return nil, err
-			}
-			out := result(idsToFloats(res.Color), ar.Stats, ccVerdict(res.Color))
-			out.auto = ar
-			return out, nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine auto", spec.Algo)
-}
-
-// prepareInc is the evolving-graph engine: it pins a delta view and
-// performs the seed analysis under the graph read lock, then drains (or
-// for PageRank, sweeps) lock-free. The result carries the incremental
-// state so the next resume can chain from this job.
-func prepareInc(g *graph.Graph, spec JobSpec, prior *incPrior, job *rt.Job) (func() (*runResult, error), error) {
-	if g.Directed && spec.Algo != "pagerank" {
-		return nil, fmt.Errorf("service: incremental %s requires an undirected graph", spec.Algo)
-	}
-	cfg := vc.IncConfig{
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}
-	if prior == nil {
-		prior = &incPrior{}
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := vc.PrepareIncrementalPageRank(g, spec.Alpha, spec.K, prior.pr, cfg)
-		return func() (*runResult, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, err
-			}
-			ranks := st.Ranks()
-			res := result(ranks, stats, prVerdict(ranks))
-			res.inc = &incStateBox{pr: st}
-			return res, nil
-		}, nil
-	case "sssp":
-		run := vc.PrepareIncrementalSSSP(g, graph.VertexID(spec.Src), prior.sssp, cfg)
-		return func() (*runResult, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, err
-			}
-			res := result(st.Dist, stats, ssspVerdict(st.Dist, spec.Src))
-			res.inc = &incStateBox{sssp: st}
-			return res, nil
-		}, nil
-	case "cc":
-		run := vc.PrepareIncrementalCC(g, prior.cc, cfg)
-		return func() (*runResult, error) {
-			st, stats, err := run()
-			if err != nil {
-				return nil, err
-			}
-			res := result(idsToFloats(st.Labels), stats, ccVerdict(st.Labels))
-			res.inc = &incStateBox{cc: st}
-			return res, nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine inc", spec.Algo)
-}
-
-func preparePregel(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	mode, err := rt.ParseDirectionMode(modeOrAuto(spec.Mode))
+	mode, err := rt.ParseDirectionMode(spec.Mode)
 	if err != nil {
-		return nil, err
+		return entry, 0, fmt.Errorf("service: %w", err)
 	}
-	cfg := vc.Config{
-		Mode:              mode,
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		FCS:               spec.FCS,
-		Job:               job,
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := vc.PreparePageRank(g, spec.Alpha, spec.K, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(res.Ranks, res.Stats, prVerdict(res.Ranks)), nil
-		}, nil
-	case "sssp":
-		run := vc.PrepareSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(res.Dist, res.Stats, ssspVerdict(res.Dist, spec.Src)), nil
-		}, nil
-	case "cc":
-		run := vc.PrepareHashMinCC(g, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(idsToFloats(res.Color), res.Stats, ccVerdict(res.Color)), nil
-		}, nil
-	case "kcore":
-		run := vc.PrepareKCore(g, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			vals := make([]float64, len(res.Core))
-			for v, c := range res.Core {
-				vals[v] = float64(c)
-			}
-			return result(vals, res.Stats, fmt.Sprintf("degeneracy %d", res.Degeneracy)), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine pregel", spec.Algo)
+	return entry, mode, nil
 }
 
-func prepareGAS(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	mode, err := rt.ParseDirectionMode(modeOrAuto(spec.Mode))
-	if err != nil {
-		return nil, err
+// runEnv is the job's run environment, built once from its spec; the
+// scheduler fills in Job when the job is admitted.
+func runEnv(spec JobSpec) rt.RunEnv {
+	env := rt.RunEnv{CheckpointEvery: spec.Checkpoint, FullSnapshotEvery: spec.FullSnapshot}
+	if spec.Faults != 0 {
+		env.Faults = rt.NewFaultPlan(spec.Faults)
 	}
-	cfg := gas.Config{
-		Mode:              mode,
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := gas.PreparePageRank(g, spec.Alpha, spec.Eps, cfg)
-		return func() (*runResult, error) {
-			ranks, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(ranks, res.Stats, prVerdict(ranks)), nil
-		}, nil
-	case "sssp":
-		run := gas.PrepareSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			dist, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(dist, res.Stats, ssspVerdict(dist, spec.Src)), nil
-		}, nil
-	case "cc":
-		run := gas.PrepareConnectedComponents(g, cfg)
-		return func() (*runResult, error) {
-			labels, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(idsToFloats(labels), res.Stats, ccVerdict(labels)), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine gas", spec.Algo)
+	return env
 }
 
-func prepareAsync(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	cfg := async.Config{
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := async.PreparePageRank(g, spec.Alpha, spec.Eps, cfg)
-		return func() (*runResult, error) {
-			ranks, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(ranks, res.Stats, prVerdict(ranks)), nil
-		}, nil
-	case "sssp":
-		run := async.PrepareSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			dist, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(dist, res.Stats, ssspVerdict(dist, spec.Src)), nil
-		}, nil
-	case "cc":
-		run := async.PrepareConnectedComponents(g, cfg)
-		return func() (*runResult, error) {
-			labels, res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(idsToFloats(labels), res.Stats, ccVerdict(labels)), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine async", spec.Algo)
-}
-
-func prepareBlock(g *graph.Graph, spec JobSpec, job *rt.Job) (func() (*runResult, error), error) {
-	cfg := blockcentric.Config{
-		CheckpointEvery:   spec.Checkpoint,
-		FullSnapshotEvery: spec.FullSnapshot,
-		Faults:            faultPlan(spec),
-		Job:               job,
-	}
-	switch spec.Algo {
-	case "pagerank":
-		run := blockcentric.PreparePageRank(g, spec.Alpha, spec.K, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(res.Ranks, res.Stats, prVerdict(res.Ranks)), nil
-		}, nil
-	case "sssp":
-		run := blockcentric.PrepareSSSP(g, graph.VertexID(spec.Src), cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(res.Dist, res.Stats, ssspVerdict(res.Dist, spec.Src)), nil
-		}, nil
-	case "cc":
-		run := blockcentric.PrepareConnectedComponents(g, cfg)
-		return func() (*runResult, error) {
-			res, err := run()
-			if err != nil {
-				return nil, err
-			}
-			return result(idsToFloats(res.Color), res.Stats, ccVerdict(res.Color)), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("service: algorithm %q does not run on engine blockcentric", spec.Algo)
-}
-
-func result(values []float64, stats *bsp.Stats, verdict string) *runResult {
-	return &runResult{values: values, summary: stats.Summarize(), verdict: verdict}
+func result(values []float64, stats *bsp.Stats) *runResult {
+	return &runResult{values: values, summary: stats.Summarize()}
 }
 
 func idsToFloats(ids []graph.VertexID) []float64 {
@@ -513,30 +442,40 @@ func idsToFloats(ids []graph.VertexID) []float64 {
 	return out
 }
 
-func prVerdict(ranks []float64) string {
-	best, bestV := -1.0, 0
-	for v, r := range ranks {
-		if r > best {
-			best, bestV = r, v
+// verdict is the one-line human summary of an algorithm's values:
+// labels and coreness are integers, exact in a float64.
+func verdict(spec JobSpec, values []float64) string {
+	switch spec.Algo {
+	case "pagerank":
+		best, bestV := -1.0, 0
+		for v, r := range values {
+			if r > best {
+				best, bestV = r, v
+			}
 		}
-	}
-	return fmt.Sprintf("top vertex %d with rank %.6f", bestV, best)
-}
-
-func ssspVerdict(dist []float64, src int) string {
-	reached := 0
-	for _, d := range dist {
-		if d < 1e300 {
-			reached++
+		return fmt.Sprintf("top vertex %d with rank %.6f", bestV, best)
+	case "sssp":
+		reached := 0
+		for _, d := range values {
+			if d < 1e300 {
+				reached++
+			}
 		}
+		return fmt.Sprintf("%d vertices reachable from %d", reached, spec.Src)
+	case "cc":
+		set := make(map[float64]bool, 16)
+		for _, l := range values {
+			set[l] = true
+		}
+		return fmt.Sprintf("%d components", len(set))
+	case "kcore":
+		degeneracy := 0.0
+		for _, c := range values {
+			if c > degeneracy {
+				degeneracy = c
+			}
+		}
+		return fmt.Sprintf("degeneracy %d", int(degeneracy))
 	}
-	return fmt.Sprintf("%d vertices reachable from %d", reached, src)
-}
-
-func ccVerdict(labels []graph.VertexID) string {
-	set := make(map[graph.VertexID]bool, 16)
-	for _, l := range labels {
-		set[l] = true
-	}
-	return fmt.Sprintf("%d components", len(set))
+	return ""
 }

@@ -79,15 +79,14 @@ type JobSpec struct {
 	Eps   float64 `json:"eps,omitempty"`
 	// FCS enables finishing-computations-serially for cc on pregel.
 	FCS int `json:"fcs,omitempty"`
-	// Checkpoint/Faults pass through to the engine's fault tolerance;
-	// Faults seeds a deterministic runtime.FaultPlan. CheckpointEvery
-	// is a wire alias of Checkpoint (withDefaults folds it in);
+	// Checkpoint/FullSnapshot/Faults build the job's run environment
+	// (runtime.RunEnv): Checkpoint is the checkpoint cadence,
 	// FullSnapshot > 1 stores only every Nth checkpoint full, the
-	// generations between as dirty-set deltas (runtime.DeltaPolicy).
-	Checkpoint      int   `json:"checkpoint,omitempty"`
-	CheckpointEvery int   `json:"checkpoint_every,omitempty"`
-	FullSnapshot    int   `json:"full_snapshot_every,omitempty"`
-	Faults          int64 `json:"faults,omitempty"`
+	// generations between as dirty-set deltas (runtime.DeltaPolicy),
+	// and Faults seeds a deterministic runtime.FaultPlan.
+	Checkpoint   int   `json:"checkpoint,omitempty"`
+	FullSnapshot int   `json:"full_snapshot_every,omitempty"`
+	Faults       int64 `json:"faults,omitempty"`
 	// TimeoutMS bounds the job's wall time (queue wait included).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
@@ -107,7 +106,7 @@ type Options struct {
 	// running job may still be reading.
 	GraphTTL time.Duration
 	// DefaultCheckpointEvery, when positive, is the checkpoint cadence
-	// applied to jobs that set neither checkpoint nor checkpoint_every.
+	// applied to jobs that leave checkpoint unset.
 	DefaultCheckpointEvery int
 	// DefaultFullSnapshotEvery, when > 1, is the full-snapshot cadence
 	// (delta checkpointing) applied to jobs that leave
@@ -351,16 +350,21 @@ func (s *Server) EvictGraphs() []string {
 }
 
 // Submit validates spec eagerly (unknown graph / algo / engine /
-// resume target fail before anything queues), then submits the job to
-// the scheduler and returns its handle. The run function takes the
-// graph's read lock only for the prepare phase.
+// resume target and out-of-range sssp sources fail before anything
+// queues), then submits the job to the scheduler and returns its
+// handle. The run function takes the graph's read lock only for the
+// prepare phase.
 func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 	ent, err := s.graph(spec.Graph)
 	if err != nil {
 		return nil, err
 	}
 	spec = s.withDefaults(spec)
-	if err := validateSpec(spec); err != nil {
+	ent.mu.RLock()
+	n := ent.g.N()
+	ent.mu.RUnlock()
+	entry, mode, err := validateSpec(spec, n)
+	if err != nil {
 		return nil, err
 	}
 	prior, err := s.resumeState(spec)
@@ -368,12 +372,10 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 		return nil, err
 	}
 	share := spec.Workers
-	if spec.Engine == "async" || spec.Engine == "inc" {
-		// The asynchronous engine and the incremental worklist drain are
-		// sequential by construction; their drivers run one worker, so
-		// the lease share must match.
-		share = 1
+	if entry.sequential {
+		share = 1 // the engine's driver runs one worker; the lease must match
 	}
+	prep := &jobPrep{spec: spec, env: runEnv(spec), mode: mode, prior: prior, planTrace: s.opts.PlanTrace}
 	ctx := context.Background()
 	var timeoutCancel context.CancelFunc
 	if spec.TimeoutMS > 0 {
@@ -382,18 +384,17 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 	rec := &jobRecord{spec: spec}
 	name := spec.Algo + "/" + spec.Engine
 	job := s.sched.Submit(ctx, name, share, func(j *rt.Job) error {
+		prep.env.Job = j
 		ent.mu.RLock()
 		epoch := ent.g.Epoch()
-		run, err := s.prepareRunner(ent.g, spec, prior, j)
+		run := entry.prepare(ent.g, prep)
 		ent.mu.RUnlock()
-		if err != nil {
-			return err
-		}
 		res, err := run()
 		if err != nil {
 			return err
 		}
 		res.epoch = epoch
+		res.verdict = verdict(spec, res.values)
 		rec.mu.Lock()
 		rec.res = res
 		rec.mu.Unlock()
@@ -416,35 +417,35 @@ func (s *Server) Submit(spec JobSpec) (*rt.Job, error) {
 // with the same algorithm and parameters. CC and SSSP can seed from any
 // engine's converged values (unique fixpoints); PageRank needs the
 // memoized history only an incremental prior carries.
-func (s *Server) resumeState(spec JobSpec) (*incPrior, error) {
+func (s *Server) resumeState(spec JobSpec) (incStateBox, error) {
 	if spec.Engine != "inc" || spec.Resume == 0 {
-		return nil, nil
+		return incStateBox{}, nil
 	}
 	rec, err := s.JobRecord(spec.Resume)
 	if err != nil {
-		return nil, err
+		return incStateBox{}, err
 	}
 	res := rec.result()
 	if res == nil {
-		return nil, fmt.Errorf("service: resume job %d has no result (state %s)", spec.Resume, rec.job.State())
+		return incStateBox{}, fmt.Errorf("service: resume job %d has no result (state %s)", spec.Resume, rec.job.State())
 	}
 	p := rec.spec
 	if p.Graph != spec.Graph || p.Algo != spec.Algo {
-		return nil, fmt.Errorf("service: resume job %d ran %s on graph %q, want %s on %q",
+		return incStateBox{}, fmt.Errorf("service: resume job %d ran %s on graph %q, want %s on %q",
 			spec.Resume, p.Algo, p.Graph, spec.Algo, spec.Graph)
 	}
 	switch spec.Algo {
 	case "sssp":
 		if p.Src != spec.Src {
-			return nil, fmt.Errorf("service: resume job %d used source %d, want %d", spec.Resume, p.Src, spec.Src)
+			return incStateBox{}, fmt.Errorf("service: resume job %d used source %d, want %d", spec.Resume, p.Src, spec.Src)
 		}
 	case "pagerank":
 		if p.Alpha != spec.Alpha || p.K != spec.K {
-			return nil, fmt.Errorf("service: resume job %d used alpha=%v k=%d, want alpha=%v k=%d",
+			return incStateBox{}, fmt.Errorf("service: resume job %d used alpha=%v k=%d, want alpha=%v k=%d",
 				spec.Resume, p.Alpha, p.K, spec.Alpha, spec.K)
 		}
 		if res.inc == nil || res.inc.pr == nil {
-			return nil, fmt.Errorf("service: pagerank resume needs an incremental prior, job %d ran engine %q", spec.Resume, p.Engine)
+			return incStateBox{}, fmt.Errorf("service: pagerank resume needs an incremental prior, job %d ran engine %q", spec.Resume, p.Engine)
 		}
 	}
 	return priorFromResult(spec, res), nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -310,4 +311,89 @@ func TestRegisterGraphErrors(t *testing.T) {
 	if err := s.AddEdges("missing", nil); err == nil {
 		t.Fatal("added edges to an unknown graph")
 	}
+}
+
+// TestServingTableRunEnv submits every serving-table pair with a
+// checkpoint at every step, every third frame full, and a seeded fault
+// plan whose first crash lands at step 1. The run environment must
+// reach the engine — checkpoint frames in the summary, delta frames
+// where the engine saves them, and a rollback — and recovery must
+// leave the values byte-identical to the fault-free job, as every
+// engine's differential suite demands.
+func TestServingTableRunEnv(t *testing.T) {
+	s := New(2, 2)
+	defer s.Close()
+	if err := s.RegisterGraph(GraphSpec{Name: "g", Gen: "connected", N: 60, M: 150, Seed: 3, Weights: true}); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]servingKey, 0, len(serving))
+	for k := range serving {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		return keys[i].algo+"/"+keys[i].engine < keys[j].algo+"/"+keys[j].engine
+	})
+	run := func(t *testing.T, spec JobSpec) *runResult {
+		t.Helper()
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return waitResult(t, s, job)
+	}
+	for _, k := range keys {
+		t.Run(k.algo+"/"+k.engine, func(t *testing.T) {
+			spec := JobSpec{Graph: "g", Algo: k.algo, Engine: k.engine, Workers: 2, Src: 4}
+			want := bits(run(t, spec).values)
+			spec.Checkpoint, spec.FullSnapshot, spec.Faults = 1, 3, 5
+			res := run(t, spec)
+			got := bits(res.values)
+			if len(got) != len(want) {
+				t.Fatalf("%d values, want %d", len(got), len(want))
+			}
+			for v := range got {
+				if got[v] != want[v] {
+					t.Fatalf("vertex %d bits %#x != fault-free %#x (summary %+v)", v, got[v], want[v], res.summary)
+				}
+			}
+			sum := res.summary
+			if sum.CheckpointBytesFull == 0 {
+				t.Fatalf("no full checkpoint frames reported: %+v", sum)
+			}
+			// Incremental PageRank snapshots its rank vector whole; every
+			// other engine saves dirty-set deltas between full frames.
+			if k != (servingKey{"pagerank", "inc"}) && (sum.DeltaCheckpoints == 0 || sum.CheckpointBytesDelta == 0) {
+				t.Fatalf("no delta checkpoint frames reported: %+v", sum)
+			}
+			if sum.Rollbacks == 0 {
+				t.Fatalf("fault plan never rolled the run back: %+v", sum)
+			}
+		})
+	}
+}
+
+// TestSubmitRejectsOutOfRangeSource: an sssp source outside [0, n)
+// fails at Submit on every engine instead of reaching the engine,
+// where the incremental one would index past its distance vector.
+func TestSubmitRejectsOutOfRangeSource(t *testing.T) {
+	s := New(2, 1)
+	defer s.Close()
+	if err := s.RegisterGraph(GraphSpec{Name: "g", Gen: "connected", N: 50, M: 100, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range validEngines("sssp") {
+		for _, src := range []int{50, 5000, -1} {
+			if _, err := s.Submit(JobSpec{Graph: "g", Algo: "sssp", Engine: engine, Src: src}); err == nil {
+				t.Fatalf("%s: Submit accepted source %d on a 50-vertex graph", engine, src)
+			}
+		}
+	}
+	if s.Scheduler().QueueLen() != 0 || s.Scheduler().InFlight() != 0 {
+		t.Fatal("out-of-range sources reached the scheduler")
+	}
+	job, err := s.Submit(JobSpec{Graph: "g", Algo: "sssp", Engine: "inc", Src: 49})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitResult(t, s, job)
 }

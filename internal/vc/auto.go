@@ -236,8 +236,7 @@ func PrepareAutoPageRank(g *graph.Graph, alpha float64, k int, cfg AutoConfig) f
 				Workers: workers, MaxIterations: cfg.MaxSupersteps,
 				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
 				Mode: d.Plan.DirectionMode(), PullThreshold: cfg.PullThreshold,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
+				RunEnv: cfg.RunEnv, Pool: cfg.Pool,
 			}
 			prog := gas.PageRankFixedK(n, remaining, alpha, seed)
 			res, err := gas.Prepare[float64, float64](g, prog, gcfg)()
@@ -254,9 +253,8 @@ func PrepareAutoPageRank(g *graph.Graph, alpha float64, k int, cfg AutoConfig) f
 				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
 				// The canonical program's fold order matches pregel only
 				// when every share crosses the inbox: pin push.
-				Mode:            runtime.DirectionPush,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
+				Mode:   runtime.DirectionPush,
+				RunEnv: cfg.RunEnv, Pool: cfg.Pool,
 			}
 			prog := blockcentric.PageRankProgramCanonical(n, remaining, alpha, seed)
 			res, err := blockcentric.NewEngine[float64, float64](g, prog, bcfg).Run()
@@ -335,8 +333,7 @@ func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *Au
 				Workers: workers, MaxIterations: cfg.MaxSupersteps,
 				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
 				Mode: d.Plan.DirectionMode(), PullThreshold: cfg.PullThreshold,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
+				RunEnv: cfg.RunEnv, Pool: cfg.Pool,
 			}
 			res, err := gas.Prepare[VertexID, VertexID](g, gas.CCProgramSeeded(seed), gcfg)()
 			var vals []VertexID
@@ -349,9 +346,8 @@ func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *Au
 			bcfg := blockcentric.Config{
 				Blocks: workers, MaxSupersteps: cfg.MaxSupersteps,
 				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
-				Mode:            d.Plan.DirectionMode(),
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
+				Mode:   d.Plan.DirectionMode(),
+				RunEnv: cfg.RunEnv, Pool: cfg.Pool,
 			}
 			res, err := blockcentric.NewEngine[VertexID, VertexID](g, blockcentric.CCProgramSeeded(seed), bcfg).Run()
 			var vals []VertexID
@@ -366,8 +362,7 @@ func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *Au
 			}
 			acfg := async.Config{
 				Snapshot: csr, Replan: hook,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
+				RunEnv: cfg.RunEnv, Pool: cfg.Pool,
 			}
 			res, err := async.Prepare[VertexID](g, async.CCProgramSeeded(seed), acfg)()
 			var vals []VertexID
@@ -442,8 +437,7 @@ func PrepareAutoSSSP(g *graph.Graph, src VertexID, cfg AutoConfig) func() (*SSSP
 				Workers: workers, MaxIterations: cfg.MaxSupersteps,
 				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
 				Mode: d.Plan.DirectionMode(), PullThreshold: cfg.PullThreshold,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
+				RunEnv: cfg.RunEnv, Pool: cfg.Pool,
 			}
 			res, err := gas.Prepare[float64, float64](g, gas.SSSPProgramSeeded(src, seed), gcfg)()
 			var vals []float64
@@ -456,9 +450,8 @@ func PrepareAutoSSSP(g *graph.Graph, src VertexID, cfg AutoConfig) func() (*SSSP
 			bcfg := blockcentric.Config{
 				Blocks: workers, MaxSupersteps: cfg.MaxSupersteps,
 				Partition: fixedOwner(owner), Snapshot: csr, Replan: hook,
-				Mode:            d.Plan.DirectionMode(),
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
+				Mode:   d.Plan.DirectionMode(),
+				RunEnv: cfg.RunEnv, Pool: cfg.Pool,
 			}
 			res, err := blockcentric.NewEngine[float64, float64](g, blockcentric.SSSPProgramSeeded(src, seed), bcfg).Run()
 			var vals []float64
@@ -487,8 +480,7 @@ func PrepareAutoSSSP(g *graph.Graph, src VertexID, cfg AutoConfig) func() (*SSSP
 			}
 			acfg := async.Config{
 				Snapshot: csr, Replan: hook,
-				CheckpointEvery: cfg.CheckpointEvery, FullSnapshotEvery: cfg.FullSnapshotEvery, Faults: cfg.Faults,
-				Ctx: cfg.Ctx, Pool: cfg.Pool, Job: cfg.Job,
+				RunEnv: cfg.RunEnv, Pool: cfg.Pool,
 			}
 			res, err := async.Prepare[float64](g, async.SSSPProgramSeeded(src, seed), acfg)()
 			var vals []float64

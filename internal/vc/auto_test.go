@@ -284,7 +284,7 @@ func TestAutoHandoffUnderFaults(t *testing.T) {
 				t.Fatalf("native: %v", err)
 			}
 			res, ar, err := HashMinCCAuto(g, AutoConfig{
-				Config: Config{Workers: 4, CheckpointEvery: 2, Faults: faults},
+				Config: Config{Workers: 4, RunEnv: runtime.RunEnv{CheckpointEvery: 2, Faults: faults}},
 				Script: []plan.Decision{
 					dec(0, pair[0], partFor(pair[0]), "auto"),
 					dec(2, pair[1], partFor(pair[1]), "auto"),
@@ -309,7 +309,7 @@ func TestAutoHandoffUnderFaults(t *testing.T) {
 				t.Fatalf("native: %v", err)
 			}
 			res, ar, err := SSSPAuto(g, 0, AutoConfig{
-				Config: Config{Workers: 4, CheckpointEvery: 2, Faults: faults},
+				Config: Config{Workers: 4, RunEnv: runtime.RunEnv{CheckpointEvery: 2, Faults: faults}},
 				Script: []plan.Decision{
 					dec(0, pair[0], partFor(pair[0]), "auto"),
 					dec(2, pair[1], partFor(pair[1]), "auto"),

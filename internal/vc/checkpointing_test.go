@@ -455,7 +455,7 @@ func TestCrashRecoveryMatchesCleanRun(t *testing.T) {
 				crashAt = 3
 			}
 			got, stats, err := tc.run(Config{Workers: 3, Seed: 5,
-				CheckpointEvery: 2, Faults: rt.PlanOf(rt.Crash(crashAt))})
+				RunEnv: rt.RunEnv{CheckpointEvery: 2, Faults: rt.PlanOf(rt.Crash(crashAt))}})
 			if err != nil {
 				t.Fatal(err)
 			}

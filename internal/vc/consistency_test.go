@@ -190,7 +190,7 @@ func TestAlgorithmsSurviveInjectedFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := HashMinCC(g, Config{Workers: 3, CheckpointEvery: 16, Faults: rt.PlanOf(rt.Crash(40))})
+	recovered, err := HashMinCC(g, Config{Workers: 3, RunEnv: rt.RunEnv{CheckpointEvery: 16, Faults: rt.PlanOf(rt.Crash(40))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestSVSurvivesInjectedFailureWithMasterState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := SSSP(g, 0, Config{Workers: 2, CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(20))})
+	rec, err := SSSP(g, 0, Config{Workers: 2, RunEnv: rt.RunEnv{CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(20))}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,10 +157,9 @@ func TestDirectionEquivalenceUnderFaults(t *testing.T) {
 	for _, dm := range directionModes {
 		t.Run(dm.name, func(t *testing.T) {
 			res, err := PageRank(g, 0.85, 20, Config{
-				Workers:         4,
-				Mode:            dm.mode,
-				CheckpointEvery: 2,
-				Faults:          runtime.PlanOf(runtime.Crash(5)),
+				Workers: 4,
+				Mode:    dm.mode,
+				RunEnv:  runtime.RunEnv{CheckpointEvery: 2, Faults: runtime.PlanOf(runtime.Crash(5))},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -326,7 +325,7 @@ func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 		}
 		faulty, err := blockcentric.ConnectedComponents(g, blockcentric.Config{
 			Blocks: 4, Mode: runtime.DirectionPull,
-			CheckpointEvery: 2, Faults: runtime.PlanOf(runtime.Crash(3)),
+			RunEnv: runtime.RunEnv{CheckpointEvery: 2, Faults: runtime.PlanOf(runtime.Crash(3))},
 		})
 		if err != nil {
 			t.Fatal(err)

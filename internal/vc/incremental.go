@@ -25,7 +25,6 @@
 package vc
 
 import (
-	"context"
 	"errors"
 	"math"
 
@@ -34,32 +33,19 @@ import (
 	rt "vcgraph/internal/runtime"
 )
 
-// IncConfig controls an incremental run. The fault/checkpoint/job
-// fields mirror async.Config: one driver step is one epoch of up to
+// IncConfig controls an incremental run. Its run environment works as
+// in async.Config: one driver step is one epoch of up to
 // CheckpointEvery (default 64) updates, at whose boundary faults fire
 // and checkpoints are taken.
 type IncConfig struct {
 	// MaxUpdates caps total vertex updates (default 200·(n+64)).
 	MaxUpdates int
-	// CheckpointEvery, when positive, snapshots values + worklist every
-	// k updates and sets the fault-detection epoch length.
-	CheckpointEvery int
-	// FullSnapshotEvery, when > 1, stores only every Nth checkpoint as
-	// a full snapshot; the generations between are dirty-set deltas
-	// covering just the vertices updated since the previous frame
-	// (runtime.DeltaPolicy). 0 or 1 keeps every checkpoint full.
-	FullSnapshotEvery int
-	// Faults schedules deterministic fault injection at epoch
-	// boundaries (crash, drop/dup of the activation batch, checkpoint
-	// corruption), exactly as in the async engine.
-	Faults *rt.FaultPlan
-	// Ctx aborts the run at the next epoch boundary.
-	Ctx context.Context
 	// Pool, when non-nil, leases the single worker from a shared pool.
 	Pool *rt.Pool
-	// Job, when non-nil, binds the run to a scheduler-admitted job
-	// (share must be 1 — the worklist drain is sequential).
-	Job *rt.Job
+	// RunEnv carries the checkpoint cadence, fault plan, cancellation
+	// and job binding (see runtime.RunEnv). A Job's share must be 1:
+	// the worklist drain is sequential.
+	rt.RunEnv
 }
 
 // ErrIncrementalDirected rejects incremental CC/SSSP on directed
@@ -116,17 +102,13 @@ func runIncWorklist[V any](name string, values *[]V, update func(VertexID) []Ver
 		}
 	}
 	d := rt.NewDriver[*rt.WorklistSnapshot[V]](p, stats, rt.DriverConfig{
-		Name:              name,
-		Workers:           1,
-		MaxSteps:          math.MaxInt,
-		CapErr:            bsp.ErrSuperstepCap,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		FullSnapshotEvery: cfg.FullSnapshotEvery,
-		Faults:            cfg.Faults,
-		EpochSaves:        true,
-		Ctx:               cfg.Ctx,
-		Pool:              cfg.Pool,
-		Job:               cfg.Job,
+		Name:       name,
+		Workers:    1,
+		MaxSteps:   math.MaxInt,
+		CapErr:     bsp.ErrSuperstepCap,
+		RunEnv:     cfg.RunEnv,
+		EpochSaves: true,
+		Pool:       cfg.Pool,
 	})
 	_, err := d.Run()
 	return stats, err

@@ -77,16 +77,12 @@ func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *Inc
 	p.mark = make([]bool, n)
 	stats := &bsp.Stats{Workers: 1, N: n}
 	d := rt.NewDriver[*incPRSnap](p, stats, rt.DriverConfig{
-		Name:              "vc: incremental pagerank",
-		Workers:           1,
-		MaxSteps:          k + 1,
-		CapErr:            bsp.ErrSuperstepCap,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		FullSnapshotEvery: cfg.FullSnapshotEvery,
-		Faults:            cfg.Faults,
-		Ctx:               cfg.Ctx,
-		Pool:              cfg.Pool,
-		Job:               cfg.Job,
+		Name:     "vc: incremental pagerank",
+		Workers:  1,
+		MaxSteps: k + 1,
+		CapErr:   bsp.ErrSuperstepCap,
+		RunEnv:   cfg.RunEnv,
+		Pool:     cfg.Pool,
 	})
 	return func() (*IncPRState, *bsp.Stats, error) {
 		defer g.UnpinDelta(view)
@@ -244,4 +240,10 @@ func (p *incPRPolicy) Restore(snap *incPRSnap, step int, ok bool) {
 type incPRSnap struct {
 	cur     []float64
 	changed []VertexID
+}
+
+// FrameBytes implements runtime.SnapshotSizer, so checkpointed runs
+// report their frame bytes like every other engine.
+func (p *incPRPolicy) FrameBytes(snap *incPRSnap) int64 {
+	return int64(len(snap.cur))*rt.SizeOf[float64]() + int64(len(snap.changed))*rt.SizeOf[VertexID]()
 }

@@ -387,7 +387,7 @@ func TestMutationScriptFaults(t *testing.T) {
 				for _, fp := range plans {
 					fp := fp
 					t.Run(fmt.Sprintf("step%d/%s", step, fp.name), func(t *testing.T) {
-						cfg := IncConfig{CheckpointEvery: fp.ck, Faults: fp.plan()}
+						cfg := IncConfig{RunEnv: rt.RunEnv{CheckpointEvery: fp.ck, Faults: fp.plan()}}
 						cc, _, err := IncrementalCC(rig.g, prior.cc, cfg)
 						if err != nil {
 							t.Fatalf("faulted CC: %v", err)
@@ -421,7 +421,7 @@ func TestMutationScriptFaults(t *testing.T) {
 // run spans many epochs, so a crash at epoch boundary 1 must roll back.
 func TestMutationScriptFaultsFire(t *testing.T) {
 	g := graph.RandomConnected(64, 128, 9)
-	st, stats, err := IncrementalCC(g, nil, IncConfig{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(1))})
+	st, stats, err := IncrementalCC(g, nil, IncConfig{RunEnv: rt.RunEnv{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(1))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestMutationScriptFaultsFire(t *testing.T) {
 	if got := asyncCC(t, g); !reflect.DeepEqual(st.Labels, got) {
 		t.Fatal("recovered cold CC differs from from-scratch run")
 	}
-	pr, prStats, err := IncrementalPageRank(g, 0.85, 10, nil, IncConfig{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(3))})
+	pr, prStats, err := IncrementalPageRank(g, 0.85, 10, nil, IncConfig{RunEnv: rt.RunEnv{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(3))}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,14 +207,14 @@ func TestPackedStateCCDifferential(t *testing.T) {
 		cells = append(cells, packedCell{
 			name: "async", epochSaves: true,
 			dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: ck, Faults: plan})
+				labels, res, err := async.ConnectedComponents(g, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
 				if err != nil {
 					return nil, nil, err
 				}
 				return labels, res.Stats, nil
 			},
 			packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				labels, res, err := async.ConnectedComponents(g, async.Config{CheckpointEvery: ck, Faults: plan, PackedState: true})
+				labels, res, err := async.ConnectedComponents(g, async.Config{PackedState: true, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
 				if err != nil {
 					return nil, nil, err
 				}
@@ -227,14 +227,14 @@ func TestPackedStateCCDifferential(t *testing.T) {
 			cells = append(cells, packedCell{
 				name: fmt.Sprintf("blockcentric/b%d", b), looseWork: true,
 				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan})
+					res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
 					if err != nil {
 						return nil, nil, err
 					}
 					return res.Color, res.Stats, nil
 				},
 				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, CheckpointEvery: ck, Faults: plan, PackedState: true})
+					res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, PackedState: true, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
 					if err != nil {
 						return nil, nil, err
 					}
@@ -266,14 +266,14 @@ func TestPackedStateKCoreDifferential(t *testing.T) {
 			runPackedDifferential(t, []packedCell{{
 				name: gr.name + "/" + encName,
 				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := KCore(g, Config{Workers: 3, CheckpointEvery: ck, Faults: plan})
+					res, err := KCore(g, Config{Workers: 3, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
 					if err != nil {
 						return nil, nil, err
 					}
 					return res.Core, res.Stats, nil
 				},
 				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := KCore(g, Config{Workers: 3, CheckpointEvery: ck, Faults: plan, PackedState: true})
+					res, err := KCore(g, Config{Workers: 3, PackedState: true, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
 					if err != nil {
 						return nil, nil, err
 					}
@@ -429,7 +429,7 @@ func TestPackedStateColoringDifferential(t *testing.T) {
 					fc := fc
 					t.Run(fc.name, func(t *testing.T) {
 						got, err := ColoringMIS(gr.g, Config{Workers: 3, Seed: seed, PackedState: true,
-							CheckpointEvery: fc.ck, Faults: fc.plan(engineCell{})})
+							RunEnv: rt.RunEnv{CheckpointEvery: fc.ck, Faults: fc.plan(engineCell{})}})
 						if err != nil {
 							t.Fatalf("faulted: %v", err)
 						}

@@ -6,7 +6,6 @@
 package vc
 
 import (
-	"context"
 	"errors"
 
 	"vcgraph/internal/bsp"
@@ -48,13 +47,6 @@ type Config struct {
 	// PullThreshold overrides the auto-mode frontier density threshold
 	// (fraction of n; <= 0 means runtime.DefaultPullThreshold).
 	PullThreshold float64
-	// CheckpointEvery/FullSnapshotEvery/Faults pass through to the
-	// engine's fault tolerance and fault injection (see pregel.Config
-	// and runtime.FaultPlan). FullSnapshotEvery > 1 turns the
-	// checkpoints between full snapshots into dirty-set deltas.
-	CheckpointEvery   int
-	FullSnapshotEvery int
-	Faults            *runtime.FaultPlan
 	// Partition picks the vertex-to-worker assignment (nil = hash).
 	Partition pregel.Partitioner
 	// FCS enables finishing-computations-serially with the given
@@ -69,30 +61,25 @@ type Config struct {
 	// assumes a simple graph: its dense variant dedupes parallel edges
 	// through a map, its packed variant through the adjacency itself.
 	PackedState bool
-	// Ctx, Pool, and Job pass through to the engine's job-scoped
-	// runtime: Ctx aborts the run at the next superstep barrier, Pool
-	// leases workers from a shared pool, and Job binds the run to a
-	// scheduler-admitted job handle (see runtime.DriverConfig).
-	Ctx  context.Context
+	// Pool, when non-nil, leases workers from a shared pool instead of
+	// a private one (see runtime.DriverConfig).
 	Pool *runtime.Pool
-	Job  *runtime.Job
+	// RunEnv passes the checkpoint cadence, fault plan, cancellation
+	// and job binding through to the engine (see runtime.RunEnv).
+	runtime.RunEnv
 }
 
 func engineCfg[M any](c Config) pregel.Config[M] {
 	return pregel.Config[M]{
-		Workers:           c.Workers,
-		MaxSupersteps:     c.MaxSupersteps,
-		Seed:              c.Seed,
-		CheckpointEvery:   c.CheckpointEvery,
-		FullSnapshotEvery: c.FullSnapshotEvery,
-		Faults:            c.Faults,
-		Partition:         c.Partition,
-		FCSThreshold:      c.FCS,
-		Mode:              c.Mode,
-		PullThreshold:     c.PullThreshold,
-		Ctx:               c.Ctx,
-		Pool:              c.Pool,
-		Job:               c.Job,
+		Workers:       c.Workers,
+		MaxSupersteps: c.MaxSupersteps,
+		Seed:          c.Seed,
+		Partition:     c.Partition,
+		FCSThreshold:  c.FCS,
+		Mode:          c.Mode,
+		PullThreshold: c.PullThreshold,
+		Pool:          c.Pool,
+		RunEnv:        c.RunEnv,
 	}
 }
 
