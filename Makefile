@@ -37,7 +37,7 @@ cover:
 	$(GO) test -count=1 -coverprofile=$(COVERPROFILE) -coverpkg=./internal/... ./...
 	@$(GO) tool cover -func=$(COVERPROFILE) | awk '/^total:/ { pct = $$3; sub("%", "", pct); if (pct + 0 < 70) { printf "FAIL: total coverage %s below the 70%% floor\n", $$3; exit 1 } printf "total coverage %s (floor 70%%)\n", $$3 }'
 
-# Ten seconds of coverage-guided fuzzing per generator target. The
+# Ten seconds of coverage-guided fuzzing per target. The
 # f.Add seed corpora also run on every plain `go test`.
 fuzz-smoke:
 	$(GO) test -fuzz='FuzzRandom$$' -fuzztime=10s -run='^$$' ./internal/graph
@@ -46,6 +46,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzCSRBuild$$' -fuzztime=10s -run='^$$' ./internal/graph
 	$(GO) test -fuzz='FuzzMutationScript$$' -fuzztime=10s -run='^$$' ./internal/vc
 	$(GO) test -fuzz='FuzzVarintBlockCodec$$' -fuzztime=10s -run='^$$' ./internal/graph
+	$(GO) test -fuzz='FuzzColumnChain$$' -fuzztime=10s -run='^$$' ./internal/runtime
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -229,18 +229,12 @@ func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result
 		Name:       "async",
 		Update:     func(v VertexID) []VertexID { return prog.Update(ctx, v) },
 		Prog:       prog,
-		Values:     &ctx.values,
+		Values:     ctx.values,
 		Queue:      queue,
 		N:          n,
 		EpochLen:   epochLen,
 		MaxUpdates: cfg.MaxUpdates,
 		CapErr:     ErrUpdateCap,
-	}
-	if cfg.Faults != nil {
-		// Checkpoint-free restarts restore these pristine Init-time
-		// values instead of re-running Init mid-run (PristineQueue nil:
-		// a restart reseeds every vertex).
-		p.PristineValues = rt.CloneValues[V](prog, ctx.values)
 	}
 	d := rt.NewDriver[*rt.WorklistSnapshot[V]](p, stats, rt.DriverConfig{
 		Name:       "async",

@@ -97,28 +97,26 @@ type Result[V any] struct {
 
 // Engine executes a block Program.
 type Engine[V, M any] struct {
-	g        *graph.Graph
-	csr      *graph.CSR
-	prog     Program[V, M]
-	cfg      Config
-	owner    []int32
-	blocks   [][]VertexID
-	values   []V
-	pristine []V    // Init-time copy for checkpoint-free restarts (faults only)
-	halted   []bool // per block
+	g      *graph.Graph
+	csr    *graph.CSR
+	prog   Program[V, M]
+	cfg    Config
+	owner  []int32
+	blocks [][]VertexID
+	halted []bool // per block
+
+	// col holds the vertex values. Its dirty set marks every member of
+	// a block that computes (values, halt flag, inbox consumption) and
+	// every receiver of a boundary message; a delta frame covers the
+	// blocks owning those vertices (see frameBlocks). The parallel
+	// phase marks only each goroutine's own members; boundary delivery
+	// marks receivers single-threaded.
+	col rt.Column[V]
 
 	inbox  []map[VertexID][]M // per block
 	outbox [][]addr[M]        // per block (source)
 	stats  *bsp.Stats
 	driver *rt.Driver[*bcSnapshot[V, M]]
-
-	// dirtyBlocks marks the blocks whose state diverged from the last
-	// checkpoint frame: a block is dirty once it computes (values, halt
-	// flag, inbox consumption) or receives a boundary message. The
-	// parallel phase writes only each goroutine's own block; boundary
-	// delivery marks destinations single-threaded. Snapshot,
-	// SnapshotDelta, and Restore clear it.
-	dirtyBlocks []bool
 
 	// Block-local pull state. pullBlock says, per block, whether its
 	// intra-block sends are rerouted (all true under DirectionPull, all
@@ -142,23 +140,16 @@ type Engine[V, M any] struct {
 	scratch []*graph.Scratch
 }
 
-// bcSnapshot is one checkpoint generation: the barrier state entering
-// a superstep (boundary messages already delivered to inboxes), plus
-// any program-private state (runtime.StateSnapshotter). A delta frame
-// (SnapshotDelta) sets delta and carries only the dirty blocks:
-// blocks lists them ascending, blockVals holds each one's member
-// values, and halted/inbox/inboxLocal are indexed by position in
-// blocks instead of by block ID. Program-private state is always full.
+// bcSnapshot is one checkpoint generation: the values (and any
+// program-private state) plus the per-block barrier state entering a
+// superstep (boundary messages already delivered to inboxes). On a
+// delta frame halted/inbox/inboxLocal cover only frameBlocks(col.IDs)
+// and are indexed by position in that list instead of by block ID.
 type bcSnapshot[V, M any] struct {
-	values     []V
+	col        rt.ColumnFrame[V]
 	halted     []bool
 	inbox      []map[VertexID][]M
 	inboxLocal []int64
-	progState  any
-
-	delta     bool
-	blocks    []int
-	blockVals [][]V
 }
 
 type addr[M any] struct {
@@ -202,13 +193,11 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 		prog:   prog,
 		cfg:    cfg,
 		owner:  owner,
-		values: make([]V, n),
 		halted: make([]bool, cfg.Blocks),
 		inbox:  make([]map[VertexID][]M, cfg.Blocks),
 		outbox: make([][]addr[M], cfg.Blocks),
 		stats:  &bsp.Stats{Workers: cfg.Blocks, N: n},
 	}
-	e.dirtyBlocks = make([]bool, cfg.Blocks)
 	e.scratch = rt.GetScratches(cfg.Blocks)
 	e.pullBlock = make([]bool, cfg.Blocks)
 	switch cfg.Mode {
@@ -237,14 +226,11 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config) *Engine
 	for b := range e.inbox {
 		e.inbox[b] = map[VertexID][]M{}
 	}
+	values := make([]V, n)
 	for v := 0; v < n; v++ {
-		e.values[v] = prog.Init(g, VertexID(v))
+		values[v] = prog.Init(g, VertexID(v))
 	}
-	if cfg.Faults != nil {
-		// A rollback with no readable checkpoint restarts from scratch;
-		// keep a pristine copy so the restart never re-reads the graph.
-		e.pristine = rt.CloneValues[V](prog, e.values)
-	}
+	e.col = rt.NewColumn(prog, values, cfg.Faults != nil)
 	return e
 }
 
@@ -267,7 +253,7 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	})
 	_, err := e.driver.Run()
 	e.driver = nil
-	return &Result[V]{Values: e.values, Stats: e.stats}, err
+	return &Result[V]{Values: e.col.Values, Stats: e.stats}, err
 }
 
 // Quiescent implements runtime.Policy: every block halted with no
@@ -287,93 +273,77 @@ func (e *Engine[V, M]) Quiescent(step, pending int) bool {
 // Snapshot implements runtime.Policy: it deep-copies the barrier state
 // (boundary messages already delivered to inboxes).
 func (e *Engine[V, M]) Snapshot() *bcSnapshot[V, M] {
-	nb := e.cfg.Blocks
 	ck := &bcSnapshot[V, M]{
-		values:     rt.CloneValues[V](e.prog, e.values),
+		col:        e.col.Full(),
 		halted:     append([]bool(nil), e.halted...),
-		inbox:      make([]map[VertexID][]M, nb),
+		inbox:      make([]map[VertexID][]M, len(e.inbox)),
 		inboxLocal: append([]int64(nil), e.inboxLocal...),
-		progState:  rt.SnapshotProgState(e.prog),
 	}
-	for b := 0; b < nb; b++ {
-		ck.inbox[b] = make(map[VertexID][]M, len(e.inbox[b]))
-		for v, ms := range e.inbox[b] {
-			ck.inbox[b][v] = append([]M(nil), ms...)
-		}
+	for b, in := range e.inbox {
+		ck.inbox[b] = cloneInbox(in)
 	}
-	e.clearDirty()
 	return ck
 }
 
 // SnapshotDelta implements runtime.DeltaPolicy: it deep-copies only
-// the blocks dirtied since the previous frame — computed or mailed
-// across a boundary — plus the full (small) program-private state, and
-// resets the dirty tracking so the next frame patches this one.
+// the vertices dirtied since the previous frame and the blocks owning
+// them — computed or mailed across a boundary — plus the full (small)
+// program-private state; the column resets the dirty tracking so the
+// next frame patches this one.
 func (e *Engine[V, M]) SnapshotDelta() *bcSnapshot[V, M] {
-	var blocks []int
-	for b, d := range e.dirtyBlocks {
-		if d {
-			blocks = append(blocks, b)
-			e.dirtyBlocks[b] = false
-		}
-	}
+	col := e.col.Delta()
+	blocks := e.frameBlocks(col.IDs)
 	ck := &bcSnapshot[V, M]{
-		delta:      true,
-		blocks:     blocks,
-		blockVals:  make([][]V, len(blocks)),
+		col:        col,
 		halted:     make([]bool, len(blocks)),
 		inbox:      make([]map[VertexID][]M, len(blocks)),
 		inboxLocal: make([]int64, len(blocks)),
-		progState:  rt.SnapshotProgState(e.prog),
 	}
 	for i, b := range blocks {
-		ck.blockVals[i] = rt.CloneValuesAt(e.prog, e.values, e.blocks[b])
 		ck.halted[i] = e.halted[b]
 		ck.inboxLocal[i] = e.inboxLocal[b]
-		ck.inbox[i] = make(map[VertexID][]M, len(e.inbox[b]))
-		for v, ms := range e.inbox[b] {
-			ck.inbox[i][v] = append([]M(nil), ms...)
-		}
+		ck.inbox[i] = cloneInbox(e.inbox[b])
 	}
 	return ck
 }
 
-// RestoreDelta implements runtime.DeltaPolicy: it patches the dirty
-// blocks of one delta frame onto the state already rebuilt from the
-// chain so far. A block's members are exactly its writable vertices,
-// so per-block value patches cover every write since the parent frame.
-func (e *Engine[V, M]) RestoreDelta(ck *bcSnapshot[V, M]) {
-	cloner, hasCloner := e.prog.(rt.ValueCloner[V])
-	for i, b := range ck.blocks {
-		for j, v := range e.blocks[b] {
-			if hasCloner {
-				e.values[v] = cloner.CloneValue(ck.blockVals[i][j])
-			} else {
-				e.values[v] = ck.blockVals[i][j]
-			}
-		}
-		e.halted[b] = ck.halted[i]
-		e.inboxLocal[b] = ck.inboxLocal[i]
-		clear(e.inbox[b])
-		for v, ms := range ck.inbox[i] {
-			e.inbox[b][v] = append([]M(nil), ms...)
+// frameBlocks lists, ascending, the blocks a delta frame with dirty
+// vertices ids covers: their owners, plus every memberless block,
+// which has no vertex to mark yet keeps a halt flag.
+func (e *Engine[V, M]) frameBlocks(ids []VertexID) []int {
+	hit := make([]bool, len(e.blocks))
+	for _, v := range ids {
+		hit[e.owner[v]] = true
+	}
+	var blocks []int
+	for b, h := range hit {
+		if h || len(e.blocks[b]) == 0 {
+			blocks = append(blocks, b)
 		}
 	}
-	rt.RestoreProgState(e.prog, ck.progState)
+	return blocks
+}
+
+// RestoreDelta implements runtime.DeltaPolicy: it patches the dirty
+// vertices and blocks of one delta frame onto the state already
+// rebuilt from the chain so far. A block's members are exactly its
+// writable vertices, and a computing block marks them all, so the
+// value patches cover every write since the parent frame.
+func (e *Engine[V, M]) RestoreDelta(ck *bcSnapshot[V, M]) {
+	e.col.Patch(ck.col)
+	for i, b := range e.frameBlocks(ck.col.IDs) {
+		e.halted[b] = ck.halted[i]
+		e.inboxLocal[b] = ck.inboxLocal[i]
+		e.loadInbox(b, ck.inbox[i])
+	}
 }
 
 // FrameBytes implements runtime.SnapshotSizer: a deterministic
-// resident-byte estimate of a frame (full or delta). Program-private
-// state is opaque and excluded on both frame kinds alike.
+// resident-byte estimate of a frame (full or delta).
 func (e *Engine[V, M]) FrameBytes(ck *bcSnapshot[V, M]) int64 {
-	szV := rt.SizeOf[V]()
-	b := int64(len(ck.values))*szV +
+	b := ck.col.Bytes() +
 		int64(len(ck.halted)) +
-		int64(len(ck.inboxLocal))*8 +
-		int64(len(ck.blocks))*8
-	for _, vs := range ck.blockVals {
-		b += int64(len(vs)) * szV
-	}
+		int64(len(ck.inboxLocal))*8
 	szM := rt.SizeOf[M]()
 	for _, in := range ck.inbox {
 		for _, ms := range in {
@@ -383,48 +353,49 @@ func (e *Engine[V, M]) FrameBytes(ck *bcSnapshot[V, M]) int64 {
 	return b
 }
 
-func (e *Engine[V, M]) clearDirty() {
-	for b := range e.dirtyBlocks {
-		e.dirtyBlocks[b] = false
-	}
-}
-
 // Restore implements runtime.Policy: it rolls the engine back to a
 // checkpoint read by the driver's store (ok), or to a fresh start when
 // no readable checkpoint exists (!ok).
 func (e *Engine[V, M]) Restore(ck *bcSnapshot[V, M], step int, ok bool) {
-	if !ok {
+	if ok {
+		e.col.Load(ck.col)
+		copy(e.halted, ck.halted)
+		copy(e.inboxLocal, ck.inboxLocal)
+	} else {
 		// Restart from the pristine Init-time values: re-running Init
 		// here would read the mutable graph mid-run.
-		e.values = rt.CloneValues[V](e.prog, e.pristine)
-		for b := range e.halted {
-			e.halted[b] = false
-			clear(e.inbox[b])
-			e.outbox[b] = e.outbox[b][:0]
-			e.inboxLocal[b] = 0
-			if e.localOut != nil {
-				e.localOut[b] = e.localOut[b][:0]
-			}
-		}
-		rt.RestoreProgState(e.prog, nil)
-		e.clearDirty()
-		return
+		e.col.Reset()
+		clear(e.halted)
+		clear(e.inboxLocal)
 	}
-	e.values = rt.CloneValues[V](e.prog, ck.values)
-	rt.RestoreProgState(e.prog, ck.progState)
-	copy(e.halted, ck.halted)
-	copy(e.inboxLocal, ck.inboxLocal)
 	for b := range e.inbox {
-		clear(e.inbox[b])
-		for v, ms := range ck.inbox[b] {
-			e.inbox[b][v] = append([]M(nil), ms...)
+		if ok {
+			e.loadInbox(b, ck.inbox[b])
+		} else {
+			clear(e.inbox[b])
 		}
 		e.outbox[b] = e.outbox[b][:0]
 		if e.localOut != nil {
 			e.localOut[b] = e.localOut[b][:0]
 		}
 	}
-	e.clearDirty()
+}
+
+// cloneInbox deep-copies one block's inbox for a checkpoint frame.
+func cloneInbox[M any](in map[VertexID][]M) map[VertexID][]M {
+	out := make(map[VertexID][]M, len(in))
+	for v, ms := range in {
+		out[v] = append([]M(nil), ms...)
+	}
+	return out
+}
+
+// loadInbox replaces block b's inbox with a copy of a frame's.
+func (e *Engine[V, M]) loadInbox(b int, in map[VertexID][]M) {
+	clear(e.inbox[b])
+	for v, ms := range in {
+		e.inbox[b][v] = append([]M(nil), ms...)
+	}
 }
 
 // Superstep implements runtime.Policy: compute every awake block in
@@ -447,8 +418,11 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 			return
 		}
 		// Computing mutates the block's values, halt flag, and inbox;
-		// each goroutine writes only its own flag, so this is race-free.
-		e.dirtyBlocks[b] = true
+		// each goroutine marks only its own members, so this is
+		// race-free.
+		for _, v := range e.blocks[b] {
+			e.col.Mark(v)
+		}
 		e.halted[b] = false
 		ss.Active[b] = int64(len(e.blocks[b]))
 		for _, ms := range msgs {
@@ -519,7 +493,7 @@ func (e *Engine[V, M]) Superstep(superstep int, ss *bsp.SuperstepStats) (int, er
 				continue
 			}
 			e.inbox[dst][am.dst] = append(e.inbox[dst][am.dst], am.m)
-			e.dirtyBlocks[dst] = true
+			e.col.Mark(am.dst)
 			pending++
 		}
 		e.outbox[src] = e.outbox[src][:0]
@@ -547,7 +521,7 @@ func (c *BlockContext[V, M]) Block() []VertexID { return c.engine.blocks[c.block
 // vertex's value is forbidden (and racy); the engine only hands each
 // block its own vertices via Block(), and programs must message remote
 // vertices instead.
-func (c *BlockContext[V, M]) Value(v VertexID) *V { return &c.engine.values[v] }
+func (c *BlockContext[V, M]) Value(v VertexID) *V { return &c.engine.col.Values[v] }
 
 // Local reports whether v belongs to this block.
 func (c *BlockContext[V, M]) Local(v VertexID) bool { return int(c.engine.owner[v]) == c.block }

@@ -174,11 +174,9 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 		csr:        csr,
 		verts:      rt.GroupByOwner("gas", owner, cfg.Workers),
 		n:          n,
-		cur:        make([]V, n),
 		next:       make([]V, n),
 		active:     make([]bool, n),
 		nextActive: make([]bool, n),
-		dirty:      make([]bool, n),
 		wake:       make([][]VertexID, cfg.Workers),
 		scratch:    rt.GetScratches(cfg.Workers),
 	}
@@ -189,14 +187,11 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 	if prep, ok := any(prog).(Preparer); ok {
 		prep.PrepareGAS(csr)
 	}
+	cur := make([]V, n)
 	for v := 0; v < n; v++ {
-		p.cur[v] = prog.Init(g, VertexID(v))
+		cur[v] = prog.Init(g, VertexID(v))
 	}
-	if cfg.Faults != nil {
-		// A rollback with no readable checkpoint restarts from scratch;
-		// keep a pristine copy so the restart never re-reads the graph.
-		p.pristine = rt.CloneValues[V](prog, p.cur)
-	}
+	p.col = rt.NewColumn(prog, cur, cfg.Faults != nil)
 	for i := range p.active {
 		p.active[i] = true
 	}
@@ -216,7 +211,7 @@ func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*
 		defer g.Unpin(csr)
 		defer rt.PutScratches(p.scratch)
 		iters, err := p.driver.Run()
-		return &Result[V]{Values: p.cur, Iterations: iters, Stats: stats}, err
+		return &Result[V]{Values: p.col.Values, Iterations: iters, Stats: stats}, err
 	}
 }
 
@@ -233,17 +228,16 @@ type policy[V, G any] struct {
 	n      int
 	driver *rt.Driver[*gasSnapshot[V]]
 
-	cur, next          []V
-	pristine           []V // Init-time copy for checkpoint-free restarts (faults only)
+	// col holds the current values (double-buffered against next) and
+	// their checkpoint dirty set. Under double buffering only vertices
+	// that ran Apply can differ (everyone else's next is a verbatim
+	// copy), so the iteration's active set is exactly the write set.
+	col                rt.Column[V]
+	next               []V
 	active, nextActive []bool
 	activeCount        int
-	// dirty marks vertices whose value may have changed since the last
-	// checkpoint frame. Under double buffering only vertices that ran
-	// Apply can differ (everyone else's next is a verbatim copy), so
-	// the iteration's active set is exactly the write set.
-	dirty   []bool
-	wake    [][]VertexID     // per-worker scatter buffers, reused
-	scratch []*graph.Scratch // pooled per-worker span-decode buffers (packed snapshots)
+	wake               [][]VertexID     // per-worker scatter buffers, reused
+	scratch            []*graph.Scratch // pooled per-worker span-decode buffers (packed snapshots)
 
 	// Pull-mode scatter (Mode pull/auto): changed vertices mark their
 	// broadcast bit; the activation pass scans transpose spans for
@@ -259,7 +253,7 @@ func (p *policy[V, G]) Quiescent(step, pending int) bool { return p.activeCount 
 // iteration over the active set, then the single-threaded wake-buffer
 // merge (where a scatter batch can be lost or redelivered in transit).
 func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
-	prog, csr := p.prog, p.csr
+	prog, csr, cur := p.prog, p.csr, p.col.Values
 	workers := p.cfg.Workers
 	if st, ok := any(prog).(Stepper); ok {
 		st.BeforeStep(step)
@@ -277,20 +271,20 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 		var workW, sentW, activeW int64
 		for _, vid := range p.verts[w] {
 			v := int(vid)
-			p.next[v] = p.cur[v]
+			p.next[v] = cur[v]
 			if !p.active[v] {
 				continue
 			}
-			p.dirty[v] = true
+			p.col.Mark(vid)
 			total := prog.Zero()
 			srcs := csr.InSpan(vid, p.scratch[w])
 			if ws := csr.InWeights(vid); ws == nil {
 				for _, u := range srcs {
-					total = prog.Sum(total, prog.Gather(u, 1, p.cur[u]))
+					total = prog.Sum(total, prog.Gather(u, 1, cur[u]))
 				}
 			} else {
 				for i, u := range srcs {
-					total = prog.Sum(total, prog.Gather(u, ws[i], p.cur[u]))
+					total = prog.Sum(total, prog.Gather(u, ws[i], cur[u]))
 				}
 			}
 			workW += int64(len(srcs))
@@ -375,7 +369,7 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 			p.wake[w] = p.wake[w][:0]
 		}
 	}
-	p.cur, p.next = p.next, p.cur
+	p.col.Values, p.next = p.next, cur
 	p.active, p.nextActive = p.nextActive, p.active
 	for i := range p.nextActive {
 		p.nextActive[i] = false
@@ -385,123 +379,74 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 
 // Snapshot implements runtime.Policy.
 func (p *policy[V, G]) Snapshot() *gasSnapshot[V] {
-	p.clearDirty()
 	return &gasSnapshot[V]{
-		values:      rt.CloneValues[V](p.prog, p.cur),
+		col:         p.col.Full(),
 		active:      append([]bool(nil), p.active...),
 		activeCount: p.activeCount,
-		progState:   rt.SnapshotProgState(p.prog),
 	}
 }
 
 // SnapshotDelta implements runtime.DeltaPolicy: only the values
-// dirtied since the previous frame, the complete active set in sparse
-// form (it is small exactly when deltas pay off), and the full
-// program-private state.
+// dirtied since the previous frame, plus the complete active set in
+// sparse form (it is small exactly when deltas pay off).
 func (p *policy[V, G]) SnapshotDelta() *gasSnapshot[V] {
-	var ids []VertexID
-	for v, d := range p.dirty {
-		if d {
-			ids = append(ids, VertexID(v))
-			p.dirty[v] = false
-		}
-	}
 	activeIDs := make([]VertexID, 0, p.activeCount)
 	for v, a := range p.active {
 		if a {
 			activeIDs = append(activeIDs, VertexID(v))
 		}
 	}
-	return &gasSnapshot[V]{
-		delta:     true,
-		ids:       ids,
-		values:    rt.CloneValuesAt(p.prog, p.cur, ids),
-		activeIDs: activeIDs,
-		progState: rt.SnapshotProgState(p.prog),
-	}
+	return &gasSnapshot[V]{col: p.col.Delta(), activeIDs: activeIDs}
 }
 
 // Restore implements runtime.Policy.
 func (p *policy[V, G]) Restore(snap *gasSnapshot[V], step int, ok bool) {
 	if ok {
-		p.cur = rt.CloneValues[V](p.prog, snap.values)
+		p.col.Load(snap.col)
 		copy(p.active, snap.active)
 		p.activeCount = snap.activeCount
-		rt.RestoreProgState(p.prog, snap.progState)
 	} else {
 		// Restart from the pristine Init-time values: re-running Init
 		// here would read the mutable graph mid-run.
-		p.cur = rt.CloneValues[V](p.prog, p.pristine)
+		p.col.Reset()
 		for v := 0; v < p.n; v++ {
 			p.active[v] = true
 		}
 		p.activeCount = p.n
-		rt.RestoreProgState(p.prog, nil)
 	}
-	p.clearDirty()
-	for i := range p.nextActive {
-		p.nextActive[i] = false
-	}
+	clear(p.nextActive)
 }
 
 // RestoreDelta implements runtime.DeltaPolicy: patch the dirty values
 // onto the chain state, then replace the active set wholesale (each
 // delta carries it complete).
 func (p *policy[V, G]) RestoreDelta(snap *gasSnapshot[V]) {
-	if cloner, ok := p.prog.(rt.ValueCloner[V]); ok {
-		for i, id := range snap.ids {
-			p.cur[id] = cloner.CloneValue(snap.values[i])
-		}
-	} else {
-		for i, id := range snap.ids {
-			p.cur[id] = snap.values[i]
-		}
-	}
-	for v := range p.active {
-		p.active[v] = false
-	}
+	p.col.Patch(snap.col)
+	clear(p.active)
 	for _, id := range snap.activeIDs {
 		p.active[id] = true
 	}
 	p.activeCount = len(snap.activeIDs)
-	rt.RestoreProgState(p.prog, snap.progState)
-	for i := range p.nextActive {
-		p.nextActive[i] = false
-	}
+	clear(p.nextActive)
 }
 
 // FrameBytes implements runtime.SnapshotSizer: a deterministic
-// resident-byte estimate of a frame. Program-private state
-// (StateSnapshotter, e.g. bit-packed stores) is opaque and excluded on
-// both frame kinds alike.
+// resident-byte estimate of a frame.
 func (p *policy[V, G]) FrameBytes(snap *gasSnapshot[V]) int64 {
-	szID := rt.SizeOf[VertexID]()
-	return int64(len(snap.values))*rt.SizeOf[V]() +
+	return snap.col.Bytes() +
 		int64(len(snap.active)) +
-		int64(len(snap.ids))*szID +
-		int64(len(snap.activeIDs))*szID + 8
+		int64(len(snap.activeIDs))*rt.SizeOf[VertexID]() + 8
 }
 
-func (p *policy[V, G]) clearDirty() {
-	for v := range p.dirty {
-		p.dirty[v] = false
-	}
-}
-
-// gasSnapshot is one checkpoint generation of a GAS run: the barrier
-// state entering an iteration, plus any program-private state
-// (runtime.StateSnapshotter, e.g. a bit-packed label store). A delta
-// frame (SnapshotDelta) sets delta and indexes values by position in
-// ids; activeIDs is the complete active set in sparse form.
+// gasSnapshot is one checkpoint generation of a GAS run: the values
+// (and any program-private state) plus the active set entering an
+// iteration. A full frame carries the active set dense, a delta frame
+// (SnapshotDelta) in sparse form as activeIDs, complete either way.
 type gasSnapshot[V any] struct {
-	values      []V
+	col         rt.ColumnFrame[V]
 	active      []bool
 	activeCount int
-	progState   any
-
-	delta     bool
-	ids       []VertexID
-	activeIDs []VertexID
+	activeIDs   []VertexID
 }
 
 // --- GAS PageRank ---

@@ -1,6 +1,8 @@
 package pregel
 
 import (
+	"maps"
+
 	"vcgraph/internal/graph"
 	rt "vcgraph/internal/runtime"
 )
@@ -8,15 +10,15 @@ import (
 // Checkpointing: Pregel's fault-tolerance mechanism. When
 // Config.CheckpointEvery is set, the engine snapshots the complete
 // computation state (vertex values, halt flags, undelivered messages,
-// mutated adjacency, globals, and — via Snapshotter — master state) at
-// every k-th superstep barrier, retaining the last two generations
-// (runtime.Checkpoints). A failure — a crash or a lost message batch
-// scheduled by Config.Faults — rolls the computation back to the
-// newest checkpoint that passes validation: a corrupted snapshot is
-// detected at recovery time and skipped in favor of the previous
-// generation (or a fresh restart). The redone supersteps stay in the
-// Stats, as they would on a real cluster; Stats.Recovery itemizes the
-// recovery cost.
+// mutated adjacency, globals, and — via runtime.StateSnapshotter —
+// master state) at every k-th superstep barrier, retaining the last
+// two generations (runtime.Checkpoints). A failure — a crash or a lost
+// message batch scheduled by Config.Faults — rolls the computation
+// back to the newest checkpoint that passes validation: a corrupted
+// snapshot is detected at recovery time and skipped in favor of the
+// previous generation (or a fresh restart). The redone supersteps stay
+// in the Stats, as they would on a real cluster; Stats.Recovery
+// itemizes the recovery cost.
 //
 // With Config.FullSnapshotEvery > 1 the engine additionally implements
 // runtime.DeltaPolicy: between full snapshots it saves dirty-set delta
@@ -26,26 +28,19 @@ import (
 // its delta chain in order; a corrupt frame anywhere in a chain
 // invalidates every frame above it (see runtime.Checkpoints).
 //
-// Vertex values and messages are copied shallowly; programs whose V
-// carries reference types (slices, maps) must implement ValueCloner to
-// deep-copy them, or recovery would alias live state.
-
-// ValueCloner lets a program deep-copy vertex values for checkpoints.
-// It mirrors runtime.ValueCloner; a program implementing CloneValue
-// satisfies both.
-type ValueCloner[V any] interface {
-	CloneValue(v V) V
-}
-
-// Snapshotter lets a program (typically one with master state) save
-// and restore that state across a rollback.
-type Snapshotter interface {
-	Snapshot() any
-	Restore(snapshot any)
-}
+// Vertex values go through the engine's runtime.Column, so programs
+// whose V carries reference types (slices, maps) must implement
+// runtime.ValueCloner, or recovery would alias live state. Messages
+// are copied shallowly.
 
 type checkpoint[V, M any] struct {
-	values  []V
+	// col carries the values and the program's private state. On a
+	// delta frame col.IDs lists the dirty vertices, and halted, inbox
+	// and rawRecv are indexed by position in col.IDs instead of by
+	// VertexID; adj then holds the overrides of dirty mutated vertices.
+	// The tiny whole-run state — globals and aggregators — is always
+	// carried in full.
+	col     rt.ColumnFrame[V]
 	halted  []bool
 	inbox   [][]M
 	rawRecv []int64
@@ -53,21 +48,9 @@ type checkpoint[V, M any] struct {
 	// CSR snapshot (SetOutEdges); everything else restores to the
 	// immutable snapshot for free, so a checkpoint is O(mutations)
 	// instead of O(m) in adjacency.
-	adj         map[VertexID][]graph.Edge
-	globals     map[string]any
-	aggCurrent  map[string]any
-	masterState any
-	// Delta frames (SnapshotDelta): ids lists the dirty vertices in
-	// ascending order, and values/halted/inbox/rawRecv are indexed by
-	// position in ids instead of by VertexID; adj holds the overrides
-	// of dirty mutated vertices. The tiny whole-run state — globals,
-	// aggregators, master state — is always carried in full.
-	delta bool
-	ids   []VertexID
-}
-
-func (e *Engine[V, M]) cloneValues(src []V) []V {
-	return rt.CloneValues(e.prog, src)
+	adj        map[VertexID][]graph.Edge
+	globals    map[string]any
+	aggCurrent map[string]any
 }
 
 // Snapshot implements runtime.Policy: it deep-copies the state
@@ -75,15 +58,8 @@ func (e *Engine[V, M]) cloneValues(src []V) []V {
 // store, the save cadence, and the corruption injection.
 func (e *Engine[V, M]) Snapshot() *checkpoint[V, M] {
 	n := e.g.N()
-	ck := &checkpoint[V, M]{
-		values:     e.cloneValues(e.values),
-		halted:     append([]bool(nil), e.halted...),
-		inbox:      make([][]M, n),
-		rawRecv:    make([]int64, n),
-		adj:        make(map[VertexID][]graph.Edge),
-		globals:    make(map[string]any, len(e.globals)),
-		aggCurrent: make(map[string]any, len(e.aggCurrent)),
-	}
+	ck := e.newCheckpoint(e.col.Full(), n)
+	copy(ck.halted, e.halted)
 	for v := 0; v < n; v++ {
 		ck.inbox[v] = append([]M(nil), e.mbox.Inbox(VertexID(v))...)
 		ck.rawRecv[v] = e.mbox.RawCount(VertexID(v))
@@ -93,43 +69,18 @@ func (e *Engine[V, M]) Snapshot() *checkpoint[V, M] {
 			ck.adj[VertexID(v)] = append([]graph.Edge(nil), e.adj[v]...)
 		}
 	}
-	for k, v := range e.globals {
-		ck.globals[k] = v
-	}
-	for k, v := range e.aggCurrent {
-		ck.aggCurrent[k] = v
-	}
-	if s, ok := e.prog.(Snapshotter); ok {
-		ck.masterState = s.Snapshot()
-	}
-	e.clearDirty()
 	return ck
 }
 
 // SnapshotDelta implements runtime.DeltaPolicy: it deep-copies only
 // the vertices dirtied since the previous frame — computed, mailed, or
-// reactivated — plus the full (small) globals/aggregator/master state,
-// and resets the dirty tracking so the next frame patches this one.
+// reactivated — plus the full (small) globals/aggregator/master state;
+// the column resets the dirty tracking so the next frame patches this
+// one.
 func (e *Engine[V, M]) SnapshotDelta() *checkpoint[V, M] {
-	var ids []VertexID
-	for v, d := range e.dirty {
-		if d {
-			ids = append(ids, VertexID(v))
-			e.dirty[v] = false
-		}
-	}
-	ck := &checkpoint[V, M]{
-		delta:      true,
-		ids:        ids,
-		values:     rt.CloneValuesAt(e.prog, e.values, ids),
-		halted:     make([]bool, len(ids)),
-		inbox:      make([][]M, len(ids)),
-		rawRecv:    make([]int64, len(ids)),
-		adj:        make(map[VertexID][]graph.Edge),
-		globals:    make(map[string]any, len(e.globals)),
-		aggCurrent: make(map[string]any, len(e.aggCurrent)),
-	}
-	for i, id := range ids {
+	col := e.col.Delta()
+	ck := e.newCheckpoint(col, len(col.IDs))
+	for i, id := range col.IDs {
 		ck.halted[i] = e.halted[id]
 		ck.inbox[i] = append([]M(nil), e.mbox.Inbox(id)...)
 		ck.rawRecv[i] = e.mbox.RawCount(id)
@@ -137,16 +88,21 @@ func (e *Engine[V, M]) SnapshotDelta() *checkpoint[V, M] {
 			ck.adj[id] = append([]graph.Edge(nil), e.adj[id]...)
 		}
 	}
-	for k, v := range e.globals {
-		ck.globals[k] = v
-	}
-	for k, v := range e.aggCurrent {
-		ck.aggCurrent[k] = v
-	}
-	if s, ok := e.prog.(Snapshotter); ok {
-		ck.masterState = s.Snapshot()
-	}
 	return ck
+}
+
+// newCheckpoint allocates a frame of k per-vertex slots around col and
+// copies the whole-run globals and aggregators into it.
+func (e *Engine[V, M]) newCheckpoint(col rt.ColumnFrame[V], k int) *checkpoint[V, M] {
+	return &checkpoint[V, M]{
+		col:        col,
+		halted:     make([]bool, k),
+		inbox:      make([][]M, k),
+		rawRecv:    make([]int64, k),
+		adj:        make(map[VertexID][]graph.Edge),
+		globals:    maps.Clone(e.globals),
+		aggCurrent: maps.Clone(e.aggCurrent),
+	}
 }
 
 // RestoreDelta implements runtime.DeltaPolicy: it patches the dirty
@@ -154,34 +110,12 @@ func (e *Engine[V, M]) SnapshotDelta() *checkpoint[V, M] {
 // chain so far. Adjacency overrides only accumulate between frames
 // (mutated never clears mid-run), so applying them additively is exact.
 func (e *Engine[V, M]) RestoreDelta(ck *checkpoint[V, M]) {
-	if cloner, ok := e.prog.(rt.ValueCloner[V]); ok {
-		for i, id := range ck.ids {
-			e.values[id] = cloner.CloneValue(ck.values[i])
-		}
-	} else {
-		for i, id := range ck.ids {
-			e.values[id] = ck.values[i]
-		}
-	}
-	for i, id := range ck.ids {
+	e.col.Patch(ck.col)
+	for i, id := range ck.col.IDs {
 		e.halted[id] = ck.halted[i]
 		e.mbox.LoadVertex(id, ck.inbox[i], ck.rawRecv[i])
 	}
-	for v, a := range ck.adj {
-		e.adj[v] = append([]graph.Edge(nil), a...)
-		e.mutated[v] = true
-	}
-	e.globals = make(map[string]any, len(ck.globals))
-	for k, v := range ck.globals {
-		e.globals[k] = v
-	}
-	for k, v := range ck.aggCurrent {
-		e.aggCurrent[k] = v
-	}
-	if s, hasState := e.prog.(Snapshotter); hasState {
-		s.Restore(ck.masterState)
-	}
-	e.rebuildWorklists()
+	e.restoreShared(ck)
 }
 
 // FrameBytes implements runtime.SnapshotSizer: a deterministic
@@ -189,10 +123,9 @@ func (e *Engine[V, M]) RestoreDelta(ck *checkpoint[V, M]) {
 // times element counts. Boxed master/global/aggregator values are
 // opaque and charged a flat per-entry cost on both frame kinds.
 func (e *Engine[V, M]) FrameBytes(ck *checkpoint[V, M]) int64 {
-	b := int64(len(ck.values))*rt.SizeOf[V]() +
+	b := ck.col.Bytes() +
 		int64(len(ck.halted)) +
-		int64(len(ck.rawRecv))*8 +
-		int64(len(ck.ids))*rt.SizeOf[VertexID]()
+		int64(len(ck.rawRecv))*8
 	szM := rt.SizeOf[M]()
 	for _, in := range ck.inbox {
 		b += int64(len(in)) * szM
@@ -205,59 +138,47 @@ func (e *Engine[V, M]) FrameBytes(ck *checkpoint[V, M]) int64 {
 	return b
 }
 
-func (e *Engine[V, M]) clearDirty() {
-	for v := range e.dirty {
-		e.dirty[v] = false
-	}
-}
-
 // Restore implements runtime.Policy: it rolls the engine back to a
 // checkpoint read by the driver's store (ok), or to a fresh start when
 // no readable checkpoint exists (!ok).
 func (e *Engine[V, M]) Restore(ck *checkpoint[V, M], step int, ok bool) {
 	e.recoveries++
+	e.resetAdjacency()
 	if !ok {
 		// No checkpoint yet: restart from the pristine Init-time values
-		// kept by NewEngine — re-running Init here would read the
-		// mutable graph mid-run.
-		e.values = rt.CloneValues[V](e.prog, e.pristine)
+		// the column kept — re-running Init here would read the mutable
+		// graph mid-run.
+		e.col.Reset()
 		for v := 0; v < e.g.N(); v++ {
 			e.halted[v] = false
 			e.mbox.ResetVertex(VertexID(v))
 		}
-		e.resetAdjacency()
 		for name, a := range e.aggs {
 			e.aggCurrent[name] = a.Zero()
 		}
 		e.globals = make(map[string]any)
-		if s, hasState := e.prog.(Snapshotter); hasState {
-			s.Restore(nil)
-		}
-		e.clearDirty()
 		e.rebuildWorklists()
 		return
 	}
-	e.values = e.cloneValues(ck.values)
+	e.col.Load(ck.col)
 	copy(e.halted, ck.halted)
 	for v := 0; v < e.g.N(); v++ {
 		e.mbox.LoadVertex(VertexID(v), ck.inbox[v], ck.rawRecv[v])
 	}
-	e.resetAdjacency()
+	e.restoreShared(ck)
+}
+
+// restoreShared reapplies a frame's adjacency overrides, globals and
+// aggregators, then rebuilds the worklists from the restored state.
+func (e *Engine[V, M]) restoreShared(ck *checkpoint[V, M]) {
 	for v, a := range ck.adj {
 		e.adj[v] = append([]graph.Edge(nil), a...)
 		e.mutated[v] = true
 	}
-	e.globals = make(map[string]any, len(ck.globals))
-	for k, v := range ck.globals {
-		e.globals[k] = v
-	}
+	e.globals = maps.Clone(ck.globals)
 	for k, v := range ck.aggCurrent {
 		e.aggCurrent[k] = v
 	}
-	if s, hasState := e.prog.(Snapshotter); hasState {
-		s.Restore(ck.masterState)
-	}
-	e.clearDirty()
 	e.rebuildWorklists()
 }
 

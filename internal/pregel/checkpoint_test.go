@@ -17,9 +17,9 @@ func (p *ckProgram) Init(g *graph.Graph, id VertexID) VertexID { return id }
 
 func (p *ckProgram) BeforeSuperstep(mc *MasterContext) { p.rounds++ }
 
-func (p *ckProgram) Snapshot() any { return p.rounds }
+func (p *ckProgram) SnapshotState() any { return p.rounds }
 
-func (p *ckProgram) Restore(s any) {
+func (p *ckProgram) RestoreState(s any) {
 	if s == nil {
 		p.rounds = 0
 		return

@@ -43,7 +43,7 @@ func (fc *FinishContext[V, M]) Active() []VertexID { return fc.active }
 func (fc *FinishContext[V, M]) Inbox(v VertexID) []M { return fc.engine.mbox.Inbox(v) }
 
 // Value returns a pointer to v's value.
-func (fc *FinishContext[V, M]) Value(v VertexID) *V { return &fc.engine.values[v] }
+func (fc *FinishContext[V, M]) Value(v VertexID) *V { return &fc.engine.col.Values[v] }
 
 // OutEdges returns v's current (possibly mutated) adjacency,
 // materializing it from the CSR snapshot on first request. Finishers

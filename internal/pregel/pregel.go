@@ -148,15 +148,13 @@ type Engine[V, M any] struct {
 	prog Program[V, M]
 	cfg  Config[M]
 
-	values   []V
-	pristine []V // Init-time copy for checkpoint-free restarts (faults only)
-	halted   []bool
-	// dirty marks vertices whose engine-visible state may have changed
-	// since the last checkpoint frame: computed vertices (value, halt
-	// flag, inbox reset, adjacency mutation), mail receivers (inbox,
-	// raw count), and master reactivations. Snapshot/SnapshotDelta
-	// clear it; delta frames carry exactly this set.
-	dirty   []bool
+	// col holds the vertex values. Its dirty set marks vertices whose
+	// engine-visible state may have changed since the last checkpoint
+	// frame: computed vertices (value, halt flag, inbox reset,
+	// adjacency mutation), mail receivers (inbox, raw count), and
+	// master reactivations; delta frames carry exactly this set.
+	col     rt.Column[V]
+	halted  []bool
 	csr     *graph.CSR     // pinned immutable adjacency snapshot, the hot-loop view
 	adj     [][]graph.Edge // per-vertex materialized/mutated out-edges; nil = read the CSR
 	mutated []bool         // adj[v] diverges from the snapshot (SetOutEdges)
@@ -239,9 +237,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[M]) *Eng
 		g:       g,
 		prog:    prog,
 		cfg:     cfg,
-		values:  make([]V, n),
 		halted:  make([]bool, n),
-		dirty:   make([]bool, n),
 		csr:     csr,
 		adj:     make([][]graph.Edge, n),
 		mutated: make([]bool, n),
@@ -259,14 +255,11 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[M]) *Eng
 	for v := 0; v < n; v++ {
 		e.deg[v] = e.csr.TotalDegree(VertexID(v))
 	}
+	values := make([]V, n)
 	for v := 0; v < n; v++ {
-		e.values[v] = prog.Init(g, VertexID(v))
+		values[v] = prog.Init(g, VertexID(v))
 	}
-	if cfg.Faults != nil {
-		// A rollback with no readable checkpoint restarts from scratch;
-		// keep a pristine copy so the restart never re-reads the graph.
-		e.pristine = rt.CloneValues[V](prog, e.values)
-	}
+	e.col = rt.NewColumn(prog, values, cfg.Faults != nil)
 	if cfg.Partition != nil {
 		e.ownerOf = cfg.Partition(g, cfg.Workers)
 	} else {
@@ -303,7 +296,7 @@ func NewEngine[V, M any](g *graph.Graph, prog Program[V, M], cfg Config[M]) *Eng
 		// first deposit — computed vertices reset theirs), and worker w
 		// only touches vertices it owns, so the write is race-free.
 		e.onMail[w] = func(v VertexID) {
-			e.dirty[v] = true
+			e.col.Mark(v)
 			e.wl.Add(w, v)
 		}
 	}
@@ -395,7 +388,7 @@ func (e *Engine[V, M]) Run() (*Result[V], error) {
 	e.driver = nil
 	e.superstep = steps
 	return &Result[V]{
-		Values:     e.values,
+		Values:     e.col.Values,
 		Stats:      e.stats,
 		Aggregates: e.aggCurrent,
 		Supersteps: steps,
@@ -421,7 +414,7 @@ func (e *Engine[V, M]) BeforeSuperstep(step, pending int) (halt bool) {
 		for v := range e.halted {
 			if e.halted[v] {
 				e.halted[v] = false
-				e.dirty[v] = true
+				e.col.Mark(VertexID(v))
 			}
 		}
 		e.wl.FillAll(e.verts)
@@ -484,7 +477,7 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 			if e.halted[v] && raw == 0 && step > 0 {
 				continue
 			}
-			e.dirty[v] = true
+			e.col.Mark(vid)
 			if raw > 0 {
 				e.halted[v] = false
 			}
@@ -535,7 +528,7 @@ func (e *Engine[V, M]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 				mm.recv = r
 			}
 			if e.sizer != nil {
-				su := e.sizer.StateUnits(&e.values[v])
+				su := e.sizer.StateUnits(&e.col.Values[v])
 				if r := float64(su) / d; r > mm.state {
 					mm.state = r
 				}
@@ -672,13 +665,13 @@ func (c *Context[V, M]) Superstep() int { return c.engine.superstep }
 func (c *Context[V, M]) NumVertices() int { return c.engine.g.N() }
 
 // Value returns a pointer to this vertex's mutable value.
-func (c *Context[V, M]) Value() *V { return &c.engine.values[c.id] }
+func (c *Context[V, M]) Value() *V { return &c.engine.col.Values[c.id] }
 
 // ValueOfUnsafe returns a pointer to another vertex's value. It is safe
 // only when the program guarantees no concurrent writer (used by
 // read-only post-processing and tests, not by Compute on other
 // vertices' values).
-func (c *Context[V, M]) ValueOfUnsafe(v VertexID) *V { return &c.engine.values[v] }
+func (c *Context[V, M]) ValueOfUnsafe(v VertexID) *V { return &c.engine.col.Values[v] }
 
 // OutEdges returns the vertex's current (possibly mutated) out-edges,
 // materializing them from the CSR snapshot on first request. The

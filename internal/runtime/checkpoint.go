@@ -24,7 +24,7 @@ package runtime
 // older reconstructible generation.
 //
 // The store is generic over the engine's snapshot type S; engines are
-// responsible for deep-copying their state into S (see ValueCloner).
+// responsible for deep-copying their state into S (see Column).
 type Checkpoints[S any] struct {
 	frames []ckFrameRec[S] // oldest first
 	saved  int
@@ -131,42 +131,3 @@ func (c *Checkpoints[S]) Saved() int { return c.saved }
 
 // DeltaSaved reports how many of the saved frames were deltas.
 func (c *Checkpoints[S]) DeltaSaved() int { return c.deltas }
-
-// ValueCloner lets a program deep-copy vertex values for checkpoints.
-// Programs whose value type carries reference types (slices, maps)
-// must implement it, or a rollback would restore values aliasing live
-// state. All four engines check for it when snapshotting.
-type ValueCloner[V any] interface {
-	CloneValue(v V) V
-}
-
-// CloneValues snapshots a value slice, deep-copying each element when
-// the program implements ValueCloner[V].
-func CloneValues[V any](prog any, src []V) []V {
-	out := make([]V, len(src))
-	if cloner, ok := prog.(ValueCloner[V]); ok {
-		for i, v := range src {
-			out[i] = cloner.CloneValue(v)
-		}
-	} else {
-		copy(out, src)
-	}
-	return out
-}
-
-// CloneValuesAt gathers src[id] for each id, deep-copying when the
-// program implements ValueCloner[V] — the dirty-set analogue of
-// CloneValues for delta checkpoint frames.
-func CloneValuesAt[V any, ID ~int | ~int32 | ~int64](prog any, src []V, ids []ID) []V {
-	out := make([]V, len(ids))
-	if cloner, ok := prog.(ValueCloner[V]); ok {
-		for i, id := range ids {
-			out[i] = cloner.CloneValue(src[id])
-		}
-	} else {
-		for i, id := range ids {
-			out[i] = src[id]
-		}
-	}
-	return out
-}

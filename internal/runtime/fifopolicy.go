@@ -14,11 +14,12 @@ import (
 // detection, checkpoint cadence (EpochSaves ordering), rollback — so a
 // program gets crash/drop/dup/corrupt recovery by filling in Update.
 //
-// The restart state is parameterized: a full run seeds every vertex
-// (PristineQueue nil), an incremental run seeds only the vertices its
-// delta analysis dirtied — a checkpoint-free rollback then replays
-// exactly that seed set, keeping faulted incremental runs byte-identical
-// to fault-free ones.
+// The restart state is whatever the caller seeded: a full run queues
+// every vertex, an incremental run only the vertices its delta
+// analysis dirtied. The runner captures the seed values and queue at
+// the first barrier, so a checkpoint-free rollback replays exactly
+// that seed set, keeping faulted incremental runs byte-identical to
+// fault-free ones.
 type WorklistRunner[V any] struct {
 	// Name prefixes error messages ("async", "vc: incremental sssp").
 	Name string
@@ -26,11 +27,11 @@ type WorklistRunner[V any] struct {
 	// to (re)activate. The returned slice is consumed before the next
 	// call, so implementations may reuse a scratch buffer.
 	Update func(v VertexID) []VertexID
-	// Prog is consulted for the optional ValueCloner deep-copy hook
-	// when values are snapshotted or restored.
+	// Prog is consulted for the optional ValueCloner and
+	// StateSnapshotter checkpoint hooks.
 	Prog any
-	// Values points at the live value slice; Restore replaces it.
-	Values *[]V
+	// Values is the live value slice; rollbacks rewrite it in place.
+	Values []V
 	// Queue is the worklist, seeded by the caller before Run.
 	Queue *FIFO
 	// N is the vertex count.
@@ -42,19 +43,15 @@ type WorklistRunner[V any] struct {
 	MaxUpdates int
 	// CapErr is the sentinel wrapped into the cap error.
 	CapErr error
-	// PristineValues, when set, are the seed-time values restored by a
-	// checkpoint-free rollback (required when faults are injected).
-	PristineValues []V
-	// PristineQueue is the seed worklist for a checkpoint-free
-	// rollback; nil means every vertex 0..N-1.
-	PristineQueue []VertexID
 
 	updates int
-	// dirty marks the vertices popped (and therefore possibly
-	// rewritten — Update writes only values[v]) since the last
-	// checkpoint frame; Snapshot, SnapshotDelta, and Restore clear it.
-	// Allocated lazily at the first epoch.
-	dirty []bool
+	started bool
+	// col tracks the vertices popped (and therefore possibly rewritten
+	// — Update writes only values[v]) since the last checkpoint frame.
+	col Column[V]
+	// seed is the worklist as the caller left it, replayed by a
+	// checkpoint-free rollback (faults only).
+	seed []VertexID
 }
 
 // Updates returns the total number of vertex updates applied.
@@ -74,7 +71,18 @@ func (p *WorklistRunner[V]) Stopped() bool {
 // fire at the epoch boundary itself. A dropped batch forces a rollback
 // (the worklist cannot be reconstructed in place); a duplicated batch
 // is absorbed because the FIFO deduplicates scheduled vertices.
+//
+// The first barrier also starts the run: the seed values and queue are
+// still untouched there, and inj tells whether a rollback can happen
+// at all (it is nil without faults), so the seed is kept only then.
 func (p *WorklistRunner[V]) BarrierFaults(inj *Injector, step int) (lost bool) {
+	if !p.started {
+		p.started = true
+		p.col = NewColumn(p.Prog, p.Values, inj != nil)
+		if inj != nil {
+			p.seed = p.Queue.Snapshot()
+		}
+	}
 	switch inj.LaneFault(step, 0, 0) {
 	case FaultDropLane:
 		return true
@@ -101,15 +109,12 @@ func (p *WorklistRunner[V]) RedoneUnits(resumed, failed int) int {
 func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 	ss.Frontier = int64(p.Queue.Len())
 	ss.Pulled = ChoosePull(DirectionAuto, true, p.Queue.Len(), p.N, 0)
-	if p.dirty == nil {
-		p.dirty = make([]bool, p.N)
-	}
 	for i := 0; i < p.EpochLen; i++ {
 		v, ok := p.Queue.Pop()
 		if !ok {
 			break
 		}
-		p.dirty[v] = true
+		p.col.Mark(v)
 		if p.updates >= p.MaxUpdates {
 			return p.Queue.Len(), fmt.Errorf("%s: %w (cap %d)", p.Name, p.CapErr, p.MaxUpdates)
 		}
@@ -127,33 +132,14 @@ func (p *WorklistRunner[V]) Superstep(step int, ss *bsp.SuperstepStats) (int, er
 // order. The update count is implied by the boundary step
 // (step · EpochLen), so it is not stored.
 func (p *WorklistRunner[V]) Snapshot() *WorklistSnapshot[V] {
-	p.clearDirty()
-	return &WorklistSnapshot[V]{
-		values:    CloneValues[V](p.Prog, *p.Values),
-		queue:     p.Queue.Snapshot(),
-		progState: SnapshotProgState(p.Prog),
-	}
+	return &WorklistSnapshot[V]{col: p.col.Full(), queue: p.Queue.Snapshot()}
 }
 
 // SnapshotDelta implements DeltaPolicy: only the values of vertices
-// popped since the previous frame, the complete worklist (small on
-// sparse tails, and required — the queue cannot be patched), and the
-// full program-private state.
+// popped since the previous frame, plus the complete worklist (small
+// on sparse tails, and required — the queue cannot be patched).
 func (p *WorklistRunner[V]) SnapshotDelta() *WorklistSnapshot[V] {
-	var ids []VertexID
-	for v, d := range p.dirty {
-		if d {
-			ids = append(ids, VertexID(v))
-			p.dirty[v] = false
-		}
-	}
-	return &WorklistSnapshot[V]{
-		delta:     true,
-		ids:       ids,
-		values:    CloneValuesAt(p.Prog, *p.Values, ids),
-		queue:     p.Queue.Snapshot(),
-		progState: SnapshotProgState(p.Prog),
-	}
+	return &WorklistSnapshot[V]{col: p.col.Delta(), queue: p.Queue.Snapshot()}
 }
 
 // RestoreDelta implements DeltaPolicy: patch the popped vertices'
@@ -161,71 +147,36 @@ func (p *WorklistRunner[V]) SnapshotDelta() *WorklistSnapshot[V] {
 // frame carries it complete). The update count was already set by the
 // base Restore from the chain's final step.
 func (p *WorklistRunner[V]) RestoreDelta(snap *WorklistSnapshot[V]) {
-	vals := *p.Values
-	if cloner, ok := p.Prog.(ValueCloner[V]); ok {
-		for i, id := range snap.ids {
-			vals[id] = cloner.CloneValue(snap.values[i])
-		}
-	} else {
-		for i, id := range snap.ids {
-			vals[id] = snap.values[i]
-		}
-	}
+	p.col.Patch(snap.col)
 	p.Queue.Load(snap.queue)
-	RestoreProgState(p.Prog, snap.progState)
 }
 
 // FrameBytes implements SnapshotSizer: a deterministic resident-byte
-// estimate of a frame (full or delta); program-private state is opaque
-// and excluded on both frame kinds alike.
+// estimate of a frame (full or delta).
 func (p *WorklistRunner[V]) FrameBytes(snap *WorklistSnapshot[V]) int64 {
-	szID := SizeOf[VertexID]()
-	return int64(len(snap.values))*SizeOf[V]() +
-		int64(len(snap.ids))*szID +
-		int64(len(snap.queue))*szID
-}
-
-func (p *WorklistRunner[V]) clearDirty() {
-	for v := range p.dirty {
-		p.dirty[v] = false
-	}
+	return snap.col.Bytes() + int64(len(snap.queue))*SizeOf[VertexID]()
 }
 
 // Restore implements Policy: a readable checkpoint restores its values
-// and worklist; a checkpoint-free rollback replays the pristine seed
-// state captured before the run.
+// and worklist; a checkpoint-free rollback replays the seed state
+// captured at the first barrier.
 func (p *WorklistRunner[V]) Restore(snap *WorklistSnapshot[V], step int, ok bool) {
-	p.clearDirty()
-	if ok {
-		*p.Values = CloneValues[V](p.Prog, snap.values)
-		p.Queue.Load(snap.queue)
-		p.updates = step * p.EpochLen
-		RestoreProgState(p.Prog, snap.progState)
+	if !ok {
+		p.col.Reset()
+		p.Queue.Load(p.seed)
+		p.updates = 0
 		return
 	}
-	*p.Values = CloneValues[V](p.Prog, p.PristineValues)
-	RestoreProgState(p.Prog, nil)
-	if p.PristineQueue != nil {
-		p.Queue.Load(p.PristineQueue)
-	} else {
-		p.Queue.Load(nil)
-		for v := 0; v < p.N; v++ {
-			p.Queue.Push(VertexID(v))
-		}
-	}
-	p.updates = 0
+	p.col.Load(snap.col)
+	p.Queue.Load(snap.queue)
+	p.updates = step * p.EpochLen
 }
 
 // WorklistSnapshot is one checkpoint generation of a worklist run: the
-// values and the worklist (in arrival order) at an epoch boundary,
-// plus any program-private state (StateSnapshotter). A delta frame
-// (SnapshotDelta) sets delta and indexes values by position in ids;
-// the queue is always complete.
+// values (and any program-private state) and the worklist, in arrival
+// order, at an epoch boundary. The queue is complete on delta frames
+// too.
 type WorklistSnapshot[V any] struct {
-	values    []V
-	queue     []VertexID
-	progState any
-
-	delta bool
-	ids   []VertexID
+	col   ColumnFrame[V]
+	queue []VertexID
 }

@@ -143,6 +143,9 @@ func TestHTTPErrors(t *testing.T) {
 	// An sssp source outside [0, n) is a bad request, not a job.
 	doJSON(t, "POST", ts.URL+"/v1/jobs",
 		JobSpec{Graph: "g", Algo: "sssp", Engine: "inc", Src: 5000}, http.StatusBadRequest)
+	// So is a negative PageRank iteration count.
+	doJSON(t, "POST", ts.URL+"/v1/jobs",
+		JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc", K: -5}, http.StatusBadRequest)
 	// "checkpoint" is the only wire name for the cadence: the retired
 	// "checkpoint_every" alias is an unknown field.
 	doJSON(t, "POST", ts.URL+"/v1/jobs",

@@ -413,6 +413,9 @@ func validateSpec(spec JobSpec, n int) (servingEntry, rt.DirectionMode, error) {
 	if spec.Algo == "sssp" && (spec.Src < 0 || spec.Src >= n) {
 		return entry, 0, fmt.Errorf("service: sssp source %d outside [0, %d)", spec.Src, n)
 	}
+	if spec.Algo == "pagerank" && spec.K < 0 {
+		return entry, 0, fmt.Errorf("service: pagerank k %d is negative", spec.K)
+	}
 	mode, err := rt.ParseDirectionMode(spec.Mode)
 	if err != nil {
 		return entry, 0, fmt.Errorf("service: %w", err)

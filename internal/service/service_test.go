@@ -397,3 +397,28 @@ func TestSubmitRejectsOutOfRangeSource(t *testing.T) {
 	}
 	waitResult(t, s, job)
 }
+
+// TestSubmitRejectsNegativePageRankK: a negative iteration count fails
+// at Submit on every engine instead of reaching the engine, where the
+// incremental one would size a slice with it and panic the daemon.
+// k = 0 still selects the default.
+func TestSubmitRejectsNegativePageRankK(t *testing.T) {
+	s := New(2, 1)
+	defer s.Close()
+	if err := s.RegisterGraph(GraphSpec{Name: "g", Gen: "connected", N: 50, M: 100, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, engine := range validEngines("pagerank") {
+		if _, err := s.Submit(JobSpec{Graph: "g", Algo: "pagerank", Engine: engine, K: -5}); err == nil {
+			t.Fatalf("%s: Submit accepted k = -5", engine)
+		}
+	}
+	if s.Scheduler().QueueLen() != 0 || s.Scheduler().InFlight() != 0 {
+		t.Fatal("negative k reached the scheduler")
+	}
+	job, err := s.Submit(JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitResult(t, s, job)
+}

@@ -1,25 +1,61 @@
 package vc
 
-import "maps"
+import (
+	"maps"
+
+	rt "vcgraph/internal/runtime"
+)
 
 // Checkpoint support for the vertex-centric programs. Two footguns
 // live here, both invisible until a rollback actually happens:
 //
 //   - Programs whose vertex value V carries slices or maps must
-//     implement CloneValue (pregel.ValueCloner), or a checkpoint's
+//     implement CloneValue (runtime.ValueCloner), or a checkpoint's
 //     values alias the live computation: the run mutates the snapshot
 //     after it was "saved", and recovery restores corrupted state.
 //
 //   - Programs with master state (fields mutated in BeforeSuperstep)
-//     must implement pregel.Snapshotter, or a rollback rewinds vertex
-//     state while the master keeps marching forward — e.g. the S-V
-//     phase machine would resume mid-cycle against round-0 values.
+//     or private vertex state (the *_packed.go stores) must implement
+//     runtime.StateSnapshotter, or a rollback rewinds vertex state
+//     while the master keeps marching forward — e.g. the S-V phase
+//     machine would resume mid-cycle against round-0 values.
 //
-// Restore(nil) means "fresh restart": every program here is
+// Both hooks are found by type assertion, so a misspelled method
+// would silently drop rollback state; the assertions below make that
+// a build failure instead.
+//
+// RestoreState(nil) means "fresh restart": every program here is
 // constructed with zero-valued master state (all phase enums start at
 // iota 0), so resetting the mutable fields to their zero values is
 // exactly the initial state. Config-like fields (source lists, k, nl,
 // trace) are never touched.
+
+var (
+	_ rt.ValueCloner[diamValue]    = (*diamProgram)(nil)
+	_ rt.ValueCloner[bcBatchValue] = (*bcBatchProgram)(nil)
+	_ rt.ValueCloner[bpmValue]     = (*bpmProgram)(nil)
+	_ rt.ValueCloner[triValue]     = (*triProgram)(nil)
+	_ rt.ValueCloner[simValue]     = (*simProgram)(nil)
+	_ rt.ValueCloner[eulerValue]   = eulerProgram{}
+	_ rt.ValueCloner[kcoreValue]   = kcoreProgram{}
+	_ rt.ValueCloner[mcstValue]    = (*mcstProgram)(nil)
+	_ rt.ValueCloner[scValue]      = (*scProgram)(nil)
+	_ rt.ValueCloner[ssValue]      = (*ssProgram)(nil)
+
+	_ rt.StateSnapshotter = (*svProgram)(nil)
+	_ rt.StateSnapshotter = (*mcstProgram)(nil)
+	_ rt.StateSnapshotter = (*bcProgram)(nil)
+	_ rt.StateSnapshotter = (*bcBatchProgram)(nil)
+	_ rt.StateSnapshotter = (*mwmProgram)(nil)
+	_ rt.StateSnapshotter = (*bpmProgram)(nil)
+	_ rt.StateSnapshotter = (*misProgram)(nil)
+	_ rt.StateSnapshotter = (*sccProgram)(nil)
+	_ rt.StateSnapshotter = (*colProgram)(nil)
+	_ rt.StateSnapshotter = (*hitsProgram)(nil)
+	_ rt.StateSnapshotter = (*hashMinPackedProgram)(nil)
+	_ rt.StateSnapshotter = (*kcorePackedProgram)(nil)
+	_ rt.StateSnapshotter = (*colPackedProgram)(nil)
+)
 
 // --- vertex-value deep copies ---
 
@@ -92,7 +128,7 @@ type svMasterSnap struct {
 	snapshots    [][]VertexID
 }
 
-func (p *svProgram) Snapshot() any {
+func (p *svProgram) SnapshotState() any {
 	return svMasterSnap{
 		roundChanged: p.roundChanged,
 		edges:        append([][2]VertexID(nil), p.edges...),
@@ -100,7 +136,7 @@ func (p *svProgram) Snapshot() any {
 	}
 }
 
-func (p *svProgram) Restore(s any) {
+func (p *svProgram) RestoreState(s any) {
 	if s == nil {
 		p.roundChanged, p.edges, p.snapshots = false, nil, nil
 		return
@@ -118,11 +154,11 @@ type mcstMasterSnap struct {
 	picked []pickedEdge
 }
 
-func (p *mcstProgram) Snapshot() any {
+func (p *mcstProgram) SnapshotState() any {
 	return mcstMasterSnap{phase: p.phase, picked: append([]pickedEdge(nil), p.picked...)}
 }
 
-func (p *mcstProgram) Restore(s any) {
+func (p *mcstProgram) RestoreState(s any) {
 	if s == nil {
 		p.phase, p.picked = 0, nil
 		return
@@ -132,8 +168,8 @@ func (p *mcstProgram) Restore(s any) {
 	p.picked = append([]pickedEdge(nil), m.picked...)
 }
 
-func (p *bcProgram) Snapshot() any { return p.mode }
-func (p *bcProgram) Restore(s any) {
+func (p *bcProgram) SnapshotState() any { return p.mode }
+func (p *bcProgram) RestoreState(s any) {
 	if s == nil {
 		p.mode = 0
 		return
@@ -141,8 +177,8 @@ func (p *bcProgram) Restore(s any) {
 	p.mode = s.(int)
 }
 
-func (p *bcBatchProgram) Snapshot() any { return p.mode }
-func (p *bcBatchProgram) Restore(s any) {
+func (p *bcBatchProgram) SnapshotState() any { return p.mode }
+func (p *bcBatchProgram) RestoreState(s any) {
 	if s == nil {
 		p.mode = 0
 		return
@@ -150,8 +186,8 @@ func (p *bcBatchProgram) Restore(s any) {
 	p.mode = s.(int)
 }
 
-func (p *mwmProgram) Snapshot() any { return p.phase }
-func (p *mwmProgram) Restore(s any) {
+func (p *mwmProgram) SnapshotState() any { return p.phase }
+func (p *mwmProgram) RestoreState(s any) {
 	if s == nil {
 		p.phase = 0
 		return
@@ -159,8 +195,8 @@ func (p *mwmProgram) Restore(s any) {
 	p.phase = s.(int)
 }
 
-func (p *bpmProgram) Snapshot() any { return p.phase }
-func (p *bpmProgram) Restore(s any) {
+func (p *bpmProgram) SnapshotState() any { return p.phase }
+func (p *bpmProgram) RestoreState(s any) {
 	if s == nil {
 		p.phase = 0
 		return
@@ -168,8 +204,8 @@ func (p *bpmProgram) Restore(s any) {
 	p.phase = s.(int)
 }
 
-func (p *misProgram) Snapshot() any { return p.phase }
-func (p *misProgram) Restore(s any) {
+func (p *misProgram) SnapshotState() any { return p.phase }
+func (p *misProgram) RestoreState(s any) {
 	if s == nil {
 		p.phase = 0
 		return
@@ -177,8 +213,8 @@ func (p *misProgram) Restore(s any) {
 	p.phase = s.(int)
 }
 
-func (p *sccProgram) Snapshot() any { return p.phase }
-func (p *sccProgram) Restore(s any) {
+func (p *sccProgram) SnapshotState() any { return p.phase }
+func (p *sccProgram) RestoreState(s any) {
 	if s == nil {
 		p.phase = 0
 		return
@@ -188,8 +224,8 @@ func (p *sccProgram) Restore(s any) {
 
 type colMasterSnap struct{ phase, c int }
 
-func (p *colProgram) Snapshot() any { return colMasterSnap{p.phase, p.c} }
-func (p *colProgram) Restore(s any) {
+func (p *colProgram) SnapshotState() any { return colMasterSnap{p.phase, p.c} }
+func (p *colProgram) RestoreState(s any) {
 	if s == nil {
 		p.phase, p.c = 0, 0
 		return
@@ -198,8 +234,8 @@ func (p *colProgram) Restore(s any) {
 	p.phase, p.c = m.phase, m.c
 }
 
-func (p *hitsProgram) Snapshot() any { return p.norm }
-func (p *hitsProgram) Restore(s any) {
+func (p *hitsProgram) SnapshotState() any { return p.norm }
+func (p *hitsProgram) RestoreState(s any) {
 	if s == nil {
 		p.norm = 0
 		return

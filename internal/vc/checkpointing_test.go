@@ -120,49 +120,49 @@ func TestSnapshotterRoundTrip(t *testing.T) {
 		p := &svProgram{roundChanged: true,
 			edges:     [][2]VertexID{{0, 1}},
 			snapshots: [][]VertexID{{0, 0}}}
-		snap := p.Snapshot()
+		snap := p.SnapshotState()
 		p.roundChanged = false
 		p.edges = append(p.edges, [2]VertexID{2, 3})
 		p.snapshots = nil
-		p.Restore(snap)
+		p.RestoreState(snap)
 		if !p.roundChanged || len(p.edges) != 1 || len(p.snapshots) != 1 {
 			t.Fatalf("restore lost state: %+v", p)
 		}
 		// The same generation may be restored twice: mutating after the
 		// first restore must not leak into the stored snapshot.
 		p.edges[0] = [2]VertexID{8, 9}
-		p.Restore(snap)
+		p.RestoreState(snap)
 		if p.edges[0] != [2]VertexID{0, 1} {
 			t.Fatal("snapshot aliased restored state")
 		}
-		p.Restore(nil)
+		p.RestoreState(nil)
 		if p.roundChanged || p.edges != nil || p.snapshots != nil {
 			t.Fatalf("Restore(nil) did not reset: %+v", p)
 		}
 	})
 	t.Run("mcst", func(t *testing.T) {
 		p := &mcstProgram{phase: 2, picked: []pickedEdge{{U: 0, V: 1, W: 3}}}
-		snap := p.Snapshot()
+		snap := p.SnapshotState()
 		p.phase = 0
 		p.picked = append(p.picked, pickedEdge{U: 4, V: 5})
-		p.Restore(snap)
+		p.RestoreState(snap)
 		if p.phase != 2 || len(p.picked) != 1 {
 			t.Fatalf("restore lost state: %+v", p)
 		}
 		p.picked[0].W = 99
-		p.Restore(snap)
+		p.RestoreState(snap)
 		if p.picked[0].W != 3 {
 			t.Fatal("snapshot aliased restored state")
 		}
-		p.Restore(nil)
+		p.RestoreState(nil)
 		if p.phase != 0 || p.picked != nil {
 			t.Fatalf("Restore(nil) did not reset: %+v", p)
 		}
 	})
 	t.Run("int-phase-programs", func(t *testing.T) {
 		type intSnap interface {
-			Snapshot() any
-			Restore(any)
+			SnapshotState() any
+			RestoreState(any)
 		}
 		cases := []struct {
 			name string
@@ -214,13 +214,13 @@ func TestSnapshotterRoundTrip(t *testing.T) {
 		}{"scc", scc, func(v int) { scc.phase = v }, func() int { return scc.phase }})
 		for _, tc := range cases {
 			tc.set(2)
-			snap := tc.prog.Snapshot()
+			snap := tc.prog.SnapshotState()
 			tc.set(5)
-			tc.prog.Restore(snap)
+			tc.prog.RestoreState(snap)
 			if tc.get() != 2 {
 				t.Fatalf("%s: restore got %d, want 2", tc.name, tc.get())
 			}
-			tc.prog.Restore(nil)
+			tc.prog.RestoreState(nil)
 			if tc.get() != 0 {
 				t.Fatalf("%s: Restore(nil) got %d, want 0", tc.name, tc.get())
 			}
@@ -228,26 +228,26 @@ func TestSnapshotterRoundTrip(t *testing.T) {
 	})
 	t.Run("coloring", func(t *testing.T) {
 		p := &colProgram{phase: 1, c: 3}
-		snap := p.Snapshot()
+		snap := p.SnapshotState()
 		p.phase, p.c = 2, 7
-		p.Restore(snap)
+		p.RestoreState(snap)
 		if p.phase != 1 || p.c != 3 {
 			t.Fatalf("restore lost state: %+v", p)
 		}
-		p.Restore(nil)
+		p.RestoreState(nil)
 		if p.phase != 0 || p.c != 0 {
 			t.Fatalf("Restore(nil) did not reset: %+v", p)
 		}
 	})
 	t.Run("hits", func(t *testing.T) {
 		p := &hitsProgram{k: 5, norm: 1.25}
-		snap := p.Snapshot()
+		snap := p.SnapshotState()
 		p.norm = 9
-		p.Restore(snap)
+		p.RestoreState(snap)
 		if p.norm != 1.25 || p.k != 5 {
 			t.Fatalf("restore lost state: %+v", p)
 		}
-		p.Restore(nil)
+		p.RestoreState(nil)
 		if p.norm != 0 || p.k != 5 {
 			t.Fatalf("Restore(nil) touched config or kept norm: %+v", p)
 		}

@@ -140,11 +140,11 @@ type colPackedSnap struct {
 	phase, c             int
 }
 
-// Snapshot/Restore implement pregel.Snapshotter. Unlike the dense
-// program (whose master counters survive a rollback unrestored), the
-// packed variant checkpoints phase and color too, so packed coloring
-// is safe under fault injection.
-func (p *colPackedProgram) Snapshot() any {
+// SnapshotState/RestoreState implement runtime.StateSnapshotter.
+// Unlike the dense program (whose master counters survive a rollback
+// unrestored), the packed variant checkpoints phase and color too, so
+// packed coloring is safe under fault injection.
+func (p *colPackedProgram) SnapshotState() any {
 	return colPackedSnap{
 		color:   p.color.Clone(),
 		tent:    p.tent.Clone(),
@@ -154,7 +154,7 @@ func (p *colPackedProgram) Snapshot() any {
 	}
 }
 
-func (p *colPackedProgram) Restore(s any) {
+func (p *colPackedProgram) RestoreState(s any) {
 	if s == nil {
 		for _, st := range []StateStore{p.color, p.tent, p.blocked} {
 			for i := 0; i < st.Len(); i++ {

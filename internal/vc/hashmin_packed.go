@@ -104,12 +104,12 @@ func (p *hashMinPackedProgram) FinishSerially(fc *pregel.FinishContext[struct{},
 	return work
 }
 
-// Snapshot/Restore implement pregel.Snapshotter: the engine's
-// checkpoints clone only the (empty) value array, so the store rides
-// along here. Restore(nil) is the pristine restart.
-func (p *hashMinPackedProgram) Snapshot() any { return p.labels.Clone() }
+// SnapshotState/RestoreState implement runtime.StateSnapshotter: the
+// engine's checkpoints clone only the (empty) value array, so the
+// store rides along here. RestoreState(nil) is the pristine restart.
+func (p *hashMinPackedProgram) SnapshotState() any { return p.labels.Clone() }
 
-func (p *hashMinPackedProgram) Restore(s any) {
+func (p *hashMinPackedProgram) RestoreState(s any) {
 	if s == nil {
 		for v := 0; v < p.labels.Len(); v++ {
 			p.labels.Set(v, p.initLabel(VertexID(v)))

@@ -75,7 +75,7 @@ func (cfg *IncConfig) maxUpdates(n int) int {
 // shared FIFO-epoch policy. seeds nil means every vertex (a cold
 // start); otherwise a rollback with no readable checkpoint replays
 // exactly the seed set, keeping faulted runs byte-identical.
-func runIncWorklist[V any](name string, values *[]V, update func(VertexID) []VertexID, seeds []VertexID, n int, cold bool, cfg IncConfig) (*bsp.Stats, error) {
+func runIncWorklist[V any](name string, values []V, update func(VertexID) []VertexID, seeds []VertexID, n int, cold bool, cfg IncConfig) (*bsp.Stats, error) {
 	queue := rt.NewFIFO(n)
 	if cold {
 		for v := 0; v < n; v++ {
@@ -94,12 +94,6 @@ func runIncWorklist[V any](name string, values *[]V, update func(VertexID) []Ver
 		EpochLen:   cfg.epochLen(),
 		MaxUpdates: cfg.maxUpdates(n),
 		CapErr:     bsp.ErrSuperstepCap,
-	}
-	if cfg.Faults != nil {
-		p.PristineValues = append([]V(nil), *values...)
-		if !cold {
-			p.PristineQueue = queue.Snapshot()
-		}
 	}
 	d := rt.NewDriver[*rt.WorklistSnapshot[V]](p, stats, rt.DriverConfig{
 		Name:       name,
@@ -170,7 +164,7 @@ func PrepareIncrementalCC(g *graph.Graph, prior *IncCCState, cfg IncConfig) func
 	update := makeCCUpdate(view, &labels)
 	return func() (*IncCCState, *bsp.Stats, error) {
 		defer g.UnpinDelta(view)
-		stats, err := runIncWorklist[VertexID]("vc: incremental cc", &labels, update, seeds, n, cold, cfg)
+		stats, err := runIncWorklist[VertexID]("vc: incremental cc", labels, update, seeds, n, cold, cfg)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -74,7 +74,7 @@ func PrepareIncrementalSSSP(g *graph.Graph, src VertexID, prior *IncSSSPState, c
 	update := makeSSSPUpdate(view, &dist, src)
 	return func() (*IncSSSPState, *bsp.Stats, error) {
 		defer g.UnpinDelta(view)
-		stats, err := runIncWorklist[float64]("vc: incremental sssp", &dist, update, seeds, n, cold, cfg)
+		stats, err := runIncWorklist[float64]("vc: incremental sssp", dist, update, seeds, n, cold, cfg)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -131,16 +131,16 @@ type kcorePackedSnap struct {
 	slots StateStore
 }
 
-// Snapshot/Restore implement pregel.Snapshotter (the dense program
-// carries its state in the value array and rides the engine's
-// CloneValue path instead). Restore(nil) resets to the Init-time
-// bounds; the slot store needs no reset because the superstep-0
-// restart rewrites every slot.
-func (p *kcorePackedProgram) Snapshot() any {
+// SnapshotState/RestoreState implement runtime.StateSnapshotter (the
+// dense program carries its state in the value array and rides the
+// engine's CloneValue path instead). RestoreState(nil) resets to the
+// Init-time bounds; the slot store needs no reset because the
+// superstep-0 restart rewrites every slot.
+func (p *kcorePackedProgram) SnapshotState() any {
 	return kcorePackedSnap{est: p.est.Clone(), slots: p.slots.Clone()}
 }
 
-func (p *kcorePackedProgram) Restore(s any) {
+func (p *kcorePackedProgram) RestoreState(s any) {
 	if s == nil {
 		p.est.CopyFrom(p.pristineEst)
 		return
