@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='FuzzMutationScript$$' -fuzztime=10s -run='^$$' ./internal/vc
 	$(GO) test -fuzz='FuzzVarintBlockCodec$$' -fuzztime=10s -run='^$$' ./internal/graph
 	$(GO) test -fuzz='FuzzColumnChain$$' -fuzztime=10s -run='^$$' ./internal/runtime
+	$(GO) test -fuzz='FuzzJobSpec$$' -fuzztime=10s -run='^$$' ./internal/service
 
 bench:
 	$(GO) test -bench . -benchmem ./...
@@ -122,7 +123,7 @@ ablations:
 examples:
 	@for ex in quickstart socialnetwork patternmatch roadnetwork treepipeline faulttolerance paradigms linkprediction; do \
 		echo "=== examples/$$ex ==="; \
-		$(GO) run ./examples/$$ex; \
+		$(GO) run ./examples/$$ex || exit 1; \
 	done
 
 clean:

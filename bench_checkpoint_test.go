@@ -66,7 +66,7 @@ func BenchmarkCheckpointSSSP(b *testing.B) {
 			var full, delta int64
 			var frames int
 			for i := 0; i < b.N; i++ {
-				res, err := vc.SSSP(g, 0, vc.Config{RunEnv: rt.RunEnv{CheckpointEvery: 1, FullSnapshotEvery: c.fullEvery}})
+				res, err := vc.PrepareSSSP(g, 0, vc.Config{RunEnv: rt.RunEnv{CheckpointEvery: 1, FullSnapshotEvery: c.fullEvery}})()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -114,7 +114,7 @@ func BenchmarkCheckpointCC(b *testing.B) {
 			var full, delta int64
 			var frames int
 			for i := 0; i < b.N; i++ {
-				res, err := vc.HashMinCC(g, vc.Config{RunEnv: rt.RunEnv{CheckpointEvery: 1, FullSnapshotEvery: c.fullEvery}})
+				res, err := vc.PrepareHashMinCC(g, vc.Config{RunEnv: rt.RunEnv{CheckpointEvery: 1, FullSnapshotEvery: c.fullEvery}})()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -45,7 +45,7 @@ func BenchmarkCSRPageRank(b *testing.B) {
 		b.Run(fmt.Sprintf("pregel/workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := vc.PageRank(g, benchCSRAlpha, benchCSRK, vc.Config{Workers: w}); err != nil {
+				if _, err := vc.PreparePageRank(g, benchCSRAlpha, benchCSRK, vc.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -53,7 +53,7 @@ func BenchmarkCSRPageRank(b *testing.B) {
 		b.Run(fmt.Sprintf("gas/workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := gas.PageRank(g, benchCSRAlpha, benchCSREps, gas.Config{Workers: w}); err != nil {
+				if _, _, err := gas.PreparePageRank(g, benchCSRAlpha, benchCSREps, gas.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -61,7 +61,7 @@ func BenchmarkCSRPageRank(b *testing.B) {
 		b.Run(fmt.Sprintf("blockcentric/blocks-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := blockcentric.PageRank(g, benchCSRAlpha, benchCSRK, blockcentric.Config{Blocks: w}); err != nil {
+				if _, err := blockcentric.PreparePageRank(g, benchCSRAlpha, benchCSRK, blockcentric.Config{Blocks: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,7 +70,7 @@ func BenchmarkCSRPageRank(b *testing.B) {
 	b.Run("async/workers-1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := async.PageRank(g, benchCSRAlpha, benchCSREps, async.Config{}); err != nil {
+			if _, _, err := async.PreparePageRank(g, benchCSRAlpha, benchCSREps, async.Config{})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -84,7 +84,7 @@ func BenchmarkCSRSSSP(b *testing.B) {
 		b.Run(fmt.Sprintf("pregel/workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := vc.SSSP(g, 0, vc.Config{Workers: w}); err != nil {
+				if _, err := vc.PrepareSSSP(g, 0, vc.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,7 +92,7 @@ func BenchmarkCSRSSSP(b *testing.B) {
 		b.Run(fmt.Sprintf("gas/workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := gas.SSSP(g, 0, gas.Config{Workers: w}); err != nil {
+				if _, _, err := gas.PrepareSSSP(g, 0, gas.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -100,7 +100,7 @@ func BenchmarkCSRSSSP(b *testing.B) {
 		b.Run(fmt.Sprintf("blockcentric/blocks-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := blockcentric.SSSP(g, 0, blockcentric.Config{Blocks: w}); err != nil {
+				if _, err := blockcentric.PrepareSSSP(g, 0, blockcentric.Config{Blocks: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -109,7 +109,7 @@ func BenchmarkCSRSSSP(b *testing.B) {
 	b.Run("async/workers-1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := async.SSSP(g, 0, async.Config{}); err != nil {
+			if _, _, err := async.PrepareSSSP(g, 0, async.Config{})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -154,7 +154,7 @@ func BenchmarkCSRPartitionBalance(b *testing.B) {
 		b.Run(pc.name, func(b *testing.B) {
 			var imb float64
 			for i := 0; i < b.N; i++ {
-				res, err := vc.PageRank(g, benchCSRAlpha, benchCSRK, vc.Config{Workers: workers, Partition: pc.part})
+				res, err := vc.PreparePageRank(g, benchCSRAlpha, benchCSRK, vc.Config{Workers: workers, Partition: pc.part})()
 				if err != nil {
 					b.Fatal(err)
 				}

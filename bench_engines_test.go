@@ -34,7 +34,7 @@ func BenchmarkEngineMatrixPageRank(b *testing.B) {
 		b.Run(fmt.Sprintf("pregel/workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := vc.PageRank(g, benchMatrixAlpha, benchMatrixK, vc.Config{Workers: w}); err != nil {
+				if _, err := vc.PreparePageRank(g, benchMatrixAlpha, benchMatrixK, vc.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -42,7 +42,7 @@ func BenchmarkEngineMatrixPageRank(b *testing.B) {
 		b.Run(fmt.Sprintf("gas/workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := gas.PageRank(g, benchMatrixAlpha, benchMatrixEps, gas.Config{Workers: w}); err != nil {
+				if _, _, err := gas.PreparePageRank(g, benchMatrixAlpha, benchMatrixEps, gas.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -50,7 +50,7 @@ func BenchmarkEngineMatrixPageRank(b *testing.B) {
 		b.Run(fmt.Sprintf("blockcentric/blocks-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := blockcentric.PageRank(g, benchMatrixAlpha, benchMatrixK, blockcentric.Config{Blocks: w}); err != nil {
+				if _, err := blockcentric.PreparePageRank(g, benchMatrixAlpha, benchMatrixK, blockcentric.Config{Blocks: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -59,7 +59,7 @@ func BenchmarkEngineMatrixPageRank(b *testing.B) {
 	b.Run("async/workers-1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := async.PageRank(g, benchMatrixAlpha, benchMatrixEps, async.Config{}); err != nil {
+			if _, _, err := async.PreparePageRank(g, benchMatrixAlpha, benchMatrixEps, async.Config{})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,7 +72,7 @@ func BenchmarkEngineMatrixSSSP(b *testing.B) {
 		b.Run(fmt.Sprintf("pregel/workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := vc.SSSP(g, 0, vc.Config{Workers: w}); err != nil {
+				if _, err := vc.PrepareSSSP(g, 0, vc.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -80,7 +80,7 @@ func BenchmarkEngineMatrixSSSP(b *testing.B) {
 		b.Run(fmt.Sprintf("gas/workers-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := gas.SSSP(g, 0, gas.Config{Workers: w}); err != nil {
+				if _, _, err := gas.PrepareSSSP(g, 0, gas.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -88,7 +88,7 @@ func BenchmarkEngineMatrixSSSP(b *testing.B) {
 		b.Run(fmt.Sprintf("blockcentric/blocks-%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := blockcentric.SSSP(g, 0, blockcentric.Config{Blocks: w}); err != nil {
+				if _, err := blockcentric.PrepareSSSP(g, 0, blockcentric.Config{Blocks: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -97,7 +97,7 @@ func BenchmarkEngineMatrixSSSP(b *testing.B) {
 	b.Run("async/workers-1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := async.SSSP(g, 0, async.Config{}); err != nil {
+			if _, _, err := async.PrepareSSSP(g, 0, async.Config{})(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -150,7 +150,7 @@ func BenchmarkIncrementalPageRank(b *testing.B) {
 	warm := func(batch int) func(*testing.B) {
 		return func(b *testing.B) {
 			ib := newIncBench(b)
-			st, _, err := vc.IncrementalPageRank(ib.g, alpha, k, nil, vc.IncConfig{})
+			st, _, err := vc.PrepareIncrementalPageRank(ib.g, alpha, k, nil, vc.IncConfig{})()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func BenchmarkIncrementalPageRank(b *testing.B) {
 				b.StopTimer()
 				ib.step(b, batch, false)
 				b.StartTimer()
-				st, _, err = vc.IncrementalPageRank(ib.g, alpha, k, st, vc.IncConfig{})
+				st, _, err = vc.PrepareIncrementalPageRank(ib.g, alpha, k, st, vc.IncConfig{})()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -174,7 +174,7 @@ func BenchmarkIncrementalPageRank(b *testing.B) {
 		ib := newIncBench(b)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := vc.IncrementalPageRank(ib.g, alpha, k, nil, vc.IncConfig{}); err != nil {
+			if _, _, err := vc.PrepareIncrementalPageRank(ib.g, alpha, k, nil, vc.IncConfig{})(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -74,7 +74,7 @@ func BenchmarkMemoryPageRank(b *testing.B) {
 			g := benchMemGraph(e.enc)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := vc.PageRank(g, 0.85, 10, vc.Config{Workers: 8}); err != nil {
+				if _, err := vc.PreparePageRank(g, 0.85, 10, vc.Config{Workers: 8})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -92,7 +92,7 @@ func BenchmarkMemoryHashMin(b *testing.B) {
 			g := benchMemGraph(e.enc)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := vc.HashMinCC(g, vc.Config{Workers: 8, PackedState: packedState}); err != nil {
+				if _, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 8, PackedState: packedState})(); err != nil {
 					b.Fatal(err)
 				}
 			}

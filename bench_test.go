@@ -72,7 +72,7 @@ func BenchmarkWallclockPageRank(b *testing.B) {
 	g := graph.PreferentialAttachment(5000, 3, 1)
 	b.Run("vc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.PageRank(g, 0.85, 30, vc.Config{Workers: 4}); err != nil {
+			if _, err := vc.PreparePageRank(g, 0.85, 30, vc.Config{Workers: 4})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -89,7 +89,7 @@ func BenchmarkWallclockConnectedComponents(b *testing.B) {
 	g := graph.RandomConnected(20000, 60000, 2)
 	b.Run("hashmin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.HashMinCC(g, vc.Config{Workers: 4}); err != nil {
+			if _, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -114,7 +114,7 @@ func BenchmarkWallclockSSSP(b *testing.B) {
 	graph.RandomWeights(g, 4)
 	b.Run("vc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.SSSP(g, 0, vc.Config{Workers: 4}); err != nil {
+			if _, err := vc.PrepareSSSP(g, 0, vc.Config{Workers: 4})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -173,7 +173,7 @@ func BenchmarkPowerLawPageRank(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vc.PageRank(g, 0.85, 20, vc.Config{Workers: 4}); err != nil {
+		if _, err := vc.PreparePageRank(g, 0.85, 20, vc.Config{Workers: 4})(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -185,7 +185,7 @@ func BenchmarkPowerLawSSSP(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vc.SSSP(g, 0, vc.Config{Workers: 4}); err != nil {
+		if _, err := vc.PrepareSSSP(g, 0, vc.Config{Workers: 4})(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -196,7 +196,7 @@ func BenchmarkEngineWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := vc.PageRank(g, 0.85, 10, vc.Config{Workers: w}); err != nil {
+				if _, err := vc.PreparePageRank(g, 0.85, 10, vc.Config{Workers: w})(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -210,7 +210,7 @@ func BenchmarkEngineMessageThroughput(b *testing.B) {
 	g := graph.Random(5000, 100000, 6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vc.HashMinCC(g, vc.Config{Workers: 4}); err != nil {
+		if _, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4})(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func BenchmarkExtensionKCore(b *testing.B) {
 	g := graph.PreferentialAttachment(5000, 4, 9)
 	b.Run("vc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.KCore(g, vc.Config{Workers: 4}); err != nil {
+			if _, err := vc.PrepareKCore(g, vc.Config{Workers: 4})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -287,7 +287,7 @@ func BenchmarkParadigmCC(b *testing.B) {
 	g := graph.PermutedPath(8192, 3)
 	b.Run("pregel-hashmin", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.HashMinCC(g, vc.Config{Workers: 4}); err != nil {
+			if _, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -301,14 +301,14 @@ func BenchmarkParadigmCC(b *testing.B) {
 	})
 	b.Run("pregel-hashmin-fcs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.HashMinCC(g, vc.Config{Workers: 4, FCS: 64}); err != nil {
+			if _, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4, FCS: 64})(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("blockcentric", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4}); err != nil {
+			if _, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: 4})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -327,7 +327,7 @@ func BenchmarkParadigmPageRank(b *testing.B) {
 	})
 	b.Run("gas-delta", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := gas.PageRank(g, 0.85, eps, gas.Config{Workers: 4}); err != nil {
+			if _, _, err := gas.PreparePageRank(g, 0.85, eps, gas.Config{Workers: 4})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -338,14 +338,14 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	g := graph.Path(2048)
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.HashMinCC(g, vc.Config{Workers: 4}); err != nil {
+			if _, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4})(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("checkpoint-64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := vc.HashMinCC(g, vc.Config{Workers: 4, RunEnv: rt.RunEnv{CheckpointEvery: 64}}); err != nil {
+			if _, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4, RunEnv: rt.RunEnv{CheckpointEvery: 64}})(); err != nil {
 				b.Fatal(err)
 			}
 		}

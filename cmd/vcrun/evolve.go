@@ -65,7 +65,7 @@ func evolve(g *graph.Graph, algo string, src graph.VertexID, rounds, batch int, 
 			if !warm {
 				prior = nil
 			}
-			st, stats, err := vc.IncrementalPageRank(g, 0.85, 30, prior, cfg)
+			st, stats, err := vc.PrepareIncrementalPageRank(g, 0.85, 30, prior, cfg)()
 			if err != nil {
 				return nil, 0, err
 			}

@@ -78,6 +78,14 @@ func main() {
 	if *engine != "" && *engine != "auto" {
 		fail(fmt.Errorf("unknown engine %q (empty or auto)", *engine))
 	}
+	if *packedState {
+		switch {
+		case *engine != "":
+			fail(fmt.Errorf("-packed-state does not apply under -engine %s; it supports hashmin, kcore, and coloring on their own engine", *engine))
+		case *algo != "hashmin" && *algo != "kcore" && *algo != "coloring":
+			fail(fmt.Errorf("-packed-state supports only hashmin, kcore, and coloring; got -algo %s", *algo))
+		}
+	}
 
 	var fplan *runtime.FaultPlan
 	if *faults != 0 {
@@ -293,7 +301,7 @@ func makeGraph(gen string, n, m int, seed int64) (*graph.Graph, error) {
 func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed int64) (string, *bsp.Stats, error) {
 	switch algo {
 	case "pagerank":
-		res, err := vc.PageRank(g, 0.85, 30, cfg)
+		res, err := vc.PreparePageRank(g, 0.85, 30, cfg)()
 		if err != nil {
 			return "", nil, err
 		}
@@ -306,7 +314,7 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 		return fmt.Sprintf("top vertex %d with rank %.6f", bestV, best), res.Stats, nil
 	case "sssp":
 		graph.RandomWeights(g, seed+1)
-		res, err := vc.SSSP(g, src, cfg)
+		res, err := vc.PrepareSSSP(g, src, cfg)()
 		if err != nil {
 			return "", nil, err
 		}
@@ -318,7 +326,7 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 		}
 		return fmt.Sprintf("%d vertices reachable from %d", reached, src), res.Stats, nil
 	case "hashmin":
-		res, err := vc.HashMinCC(g, cfg)
+		res, err := vc.PrepareHashMinCC(g, cfg)()
 		if err != nil {
 			return "", nil, err
 		}
@@ -489,7 +497,7 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 		}
 		return fmt.Sprintf("top hub %d (%.4f)", bhv, bh), res.Stats, nil
 	case "asynccc":
-		labels, res, err := async.ConnectedComponents(g, async.Config{RunEnv: cfg.RunEnv})
+		labels, res, err := async.PrepareConnectedComponents(g, async.Config{RunEnv: cfg.RunEnv})()
 		if err != nil {
 			return "", nil, err
 		}
@@ -497,14 +505,14 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 			res.Stats, nil
 	case "asyncsssp":
 		graph.RandomWeights(g, seed+1)
-		_, res, err := async.SSSP(g, src, async.Config{RunEnv: cfg.RunEnv})
+		_, res, err := async.PrepareSSSP(g, src, async.Config{RunEnv: cfg.RunEnv})()
 		if err != nil {
 			return "", nil, err
 		}
 		return fmt.Sprintf("shortest paths in %d async updates", res.Updates),
 			res.Stats, nil
 	case "gaspagerank":
-		_, res, err := gas.PageRank(g, 0.85, 1e-9, gas.Config{Workers: cfg.Workers, RunEnv: cfg.RunEnv})
+		_, res, err := gas.PreparePageRank(g, 0.85, 1e-9, gas.Config{Workers: cfg.Workers, RunEnv: cfg.RunEnv})()
 		if err != nil {
 			return "", nil, err
 		}
@@ -528,7 +536,7 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 		}
 		return fmt.Sprintf("suggested links for %d: %v", src, preds), res.Stats, nil
 	case "kcore":
-		res, err := vc.KCore(g, cfg)
+		res, err := vc.PrepareKCore(g, cfg)()
 		if err != nil {
 			return "", nil, err
 		}
@@ -550,7 +558,7 @@ func run(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Config, seed in
 		}
 		return fmt.Sprintf("%d communities, modularity %.3f", len(distinct), res.Modularity), res.Stats, nil
 	case "blockcc":
-		res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: cfg.Workers, RunEnv: cfg.RunEnv})
+		res, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: cfg.Workers, RunEnv: cfg.RunEnv})()
 		if err != nil {
 			return "", nil, err
 		}
@@ -569,7 +577,7 @@ func runAutoEngine(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Confi
 	}}
 	switch algo {
 	case "pagerank":
-		res, ar, err := vc.PageRankAuto(g, 0.85, 30, acfg)
+		res, ar, err := vc.PrepareAutoPageRank(g, 0.85, 30, acfg)()
 		if err != nil {
 			return "", nil, err
 		}
@@ -582,7 +590,7 @@ func runAutoEngine(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Confi
 		return fmt.Sprintf("top vertex %d with rank %.6f (%d plan segments)", bestV, best, ar.Segments), ar.Stats, nil
 	case "sssp":
 		graph.RandomWeights(g, seed+1)
-		res, ar, err := vc.SSSPAuto(g, src, acfg)
+		res, ar, err := vc.PrepareAutoSSSP(g, src, acfg)()
 		if err != nil {
 			return "", nil, err
 		}
@@ -594,7 +602,7 @@ func runAutoEngine(algo string, g *graph.Graph, src graph.VertexID, cfg vc.Confi
 		}
 		return fmt.Sprintf("%d vertices reachable from %d (%d plan segments)", reached, src, ar.Segments), ar.Stats, nil
 	case "hashmin":
-		res, ar, err := vc.HashMinCCAuto(g, acfg)
+		res, ar, err := vc.PrepareAutoHashMinCC(g, acfg)()
 		if err != nil {
 			return "", nil, err
 		}

@@ -39,17 +39,17 @@ func BenchmarkDirection(b *testing.B) {
 		run  func(cfg vc.Config) error
 	}{
 		{"pagerank", func(cfg vc.Config) error {
-			_, err := vc.PageRank(g, 0.85, 10, cfg)
+			_, err := vc.PreparePageRank(g, 0.85, 10, cfg)()
 			return err
 		}},
 		{"hashmin", func(cfg vc.Config) error {
-			_, err := vc.HashMinCC(g, cfg)
+			_, err := vc.PrepareHashMinCC(g, cfg)()
 			return err
 		}},
 		// Control: no combiner, so every mode degenerates to push and
 		// the three columns should coincide up to noise.
 		{"kcore", func(cfg vc.Config) error {
-			_, err := vc.KCore(g, cfg)
+			_, err := vc.PrepareKCore(g, cfg)()
 			return err
 		}},
 	}

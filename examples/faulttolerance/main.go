@@ -17,20 +17,20 @@ func main() {
 	g := graph.Path(512) // δ = 511: a long-running Hash-Min
 	fmt.Printf("graph: path n=%d (Hash-Min needs ~n supersteps)\n\n", g.N())
 
-	clean, err := vc.HashMinCC(g, vc.Config{Workers: 4})
+	clean, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4})()
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("clean run:      %4d supersteps, %8d messages\n",
 		clean.Stats.NumSupersteps(), clean.Stats.TotalMessages)
 
-	recovered, err := vc.HashMinCC(g, vc.Config{
+	recovered, err := vc.PrepareHashMinCC(g, vc.Config{
 		Workers: 4,
 		RunEnv: rt.RunEnv{
 			CheckpointEvery: 64,                       // snapshot every 64 supersteps
 			Faults:          rt.PlanOf(rt.Crash(300)), // machine failure right before superstep 300
 		},
-	})
+	})()
 	if err != nil {
 		panic(err)
 	}

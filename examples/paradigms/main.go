@@ -24,11 +24,11 @@ func main() {
 	fmt.Printf("problem 1: connected components on a permuted path (n=%d, δ=n-1)\n\n", g.N())
 	fmt.Printf("%-28s %12s %14s %14s\n", "model", "supersteps", "messages", "P·T")
 
-	hm, err := vc.HashMinCC(g, vc.Config{Workers: 4})
+	hm, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4})()
 	must(err)
 	row("Pregel Hash-Min", hm.Stats)
 
-	fcs, err := vc.HashMinCC(g, vc.Config{Workers: 4, FCS: 64})
+	fcs, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4, FCS: 64})()
 	must(err)
 	row("Pregel Hash-Min + FCS", fcs.Stats)
 
@@ -39,14 +39,14 @@ func main() {
 	// Block-centric quality depends on the partition: ID ranges scatter
 	// a permuted path across blocks (every edge a boundary edge), while
 	// a locality-aware partition keeps path segments together.
-	bc, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4})
+	bc, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: 4})()
 	must(err)
 	row("block-centric, ID ranges", bc.Stats)
 
-	bcGood, err := blockcentric.ConnectedComponents(g, blockcentric.Config{
+	bcGood, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{
 		Blocks:    4,
 		Partition: pathSegments(g),
-	})
+	})()
 	must(err)
 	row("block-centric, segments", bcGood.Stats)
 
@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("%-28s %12d %14d %14.0f\n", "Pregel (push, sync)",
 		iters, pr.Stats.TotalMessages, pr.Stats.MeasuredTPP())
 
-	_, gres, err := gas.PageRank(pa, 0.85, 1e-9, gas.Config{Workers: 4})
+	_, gres, err := gas.PreparePageRank(pa, 0.85, 1e-9, gas.Config{Workers: 4})()
 	must(err)
 	fmt.Printf("%-28s %12d %14d %14.0f\n", "GAS (pull, delta-sched)",
 		gres.Iterations, gres.Stats.TotalWork, gres.Stats.MeasuredTPP())

@@ -16,7 +16,7 @@ func main() {
 	fmt.Printf("graph: n=%d m=%d\n\n", g.N(), g.M())
 
 	// PageRank, exactly as in the Pregel paper: 30 supersteps, α=0.85.
-	res, err := vc.PageRank(g, 0.85, 30, vc.Config{Workers: 4})
+	res, err := vc.PreparePageRank(g, 0.85, 30, vc.Config{Workers: 4})()
 	if err != nil {
 		panic(err)
 	}

@@ -19,7 +19,7 @@ func main() {
 	cfg := vc.Config{Workers: 4}
 
 	// Routing: travel cost from the north-west depot to everywhere.
-	sssp, err := vc.SSSP(g, 0, cfg)
+	sssp, err := vc.PrepareSSSP(g, 0, cfg)()
 	if err != nil {
 		panic(err)
 	}

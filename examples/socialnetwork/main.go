@@ -20,7 +20,7 @@ func main() {
 	cfg := vc.Config{Workers: 4, Seed: 7}
 
 	// 1. Influence: PageRank top-5.
-	pr, err := vc.PageRank(g, 0.85, 30, cfg)
+	pr, err := vc.PreparePageRank(g, 0.85, 30, cfg)()
 	if err != nil {
 		panic(err)
 	}

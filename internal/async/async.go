@@ -74,10 +74,6 @@ type Config struct {
 	// checked between prioritized updates. The engine is sequential, so
 	// a Job must be submitted with a worker share of 1.
 	rt.RunEnv
-	// PackedState selects the bit-packed label-store variant for the
-	// algorithms that have one (ConnectedComponents). Results and
-	// update counts are byte-identical to the dense programs.
-	PackedState bool
 }
 
 // ErrFaultsNeedFIFO rejects fault injection under the prioritized
@@ -162,18 +158,14 @@ type Preparer interface {
 	PrepareAsync(csr *graph.CSR)
 }
 
-// Run executes prog to quiescence under the FIFO scheduler (or the
-// priority scheduler when Config.Prioritized is set and the program
-// implements Prioritizer). Run is Prepare(g, prog, cfg)().
-func Run[V any](g *graph.Graph, prog Program[V], cfg Config) (*Result[V], error) {
-	return Prepare(g, prog, cfg)()
-}
-
-// Prepare splits a run in two: every read of the mutable graph —
-// snapshot pinning, the Preparer hook, Init, worklist seeding —
-// happens inside Prepare, so a caller serving concurrent jobs can
-// bracket it with its graph lock and invoke the returned closure
-// lock-free. The closure unpins the snapshot when it returns.
+// Prepare builds the run that executes prog to quiescence under the
+// FIFO scheduler (or the priority scheduler when Config.Prioritized is
+// set and the program implements Prioritizer). It splits a run in
+// two: every read of the mutable graph — snapshot pinning, the
+// Preparer hook, Init, worklist seeding — happens inside Prepare, so a
+// caller serving concurrent jobs can bracket it with its graph lock
+// and invoke the returned closure lock-free. The closure unpins the
+// snapshot when it returns.
 func Prepare[V any](g *graph.Graph, prog Program[V], cfg Config) func() (*Result[V], error) {
 	csr := cfg.Snapshot
 	if csr == nil {
@@ -398,15 +390,11 @@ func (p *ssspProgram) Priority(ctx *Context[float64], v VertexID) float64 {
 	return -best
 }
 
-// SSSP computes single-source shortest paths asynchronously
-// (label-correcting over live values) on an undirected weighted graph.
-// With cfg.Prioritized the schedule is closest-first.
-func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64], error) {
-	return PrepareSSSP(g, src, cfg)()
-}
-
-// PrepareSSSP is the job-scoped form of SSSP: graph reads happen now,
-// the returned closure runs against the pinned snapshot.
+// PrepareSSSP prepares single-source shortest paths computed
+// asynchronously (label-correcting over live values) on an undirected
+// weighted graph. With cfg.Prioritized the schedule is closest-first.
+// Graph reads happen now; the returned closure runs against the pinned
+// snapshot.
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
 	run := Prepare[float64](g, &ssspProgram{src: src}, cfg)
 	return func() ([]float64, *Result[float64], error) {
@@ -459,17 +447,12 @@ func (p *prProgram) Update(ctx *Context[float64], v VertexID) []VertexID {
 	return nil
 }
 
-// PageRank computes PageRank asynchronously: Gauss–Seidel sweeps over
-// live values with delta-based rescheduling, converging to the same
-// fixpoint as synchronous power iteration but typically in fewer
-// updates (newer information propagates within a single drain).
-func PageRank(g *graph.Graph, alpha, eps float64, cfg Config) ([]float64, *Result[float64], error) {
-	return PreparePageRank(g, alpha, eps, cfg)()
-}
-
-// PreparePageRank is the job-scoped form of PageRank: the transpose
-// and out-degrees are captured from the pinned snapshot now, the
-// returned closure runs lock-free.
+// PreparePageRank prepares asynchronous PageRank: Gauss–Seidel sweeps
+// over live values with delta-based rescheduling, converging to the
+// same fixpoint as synchronous power iteration but typically in fewer
+// updates (newer information propagates within a single drain). The
+// transpose and out-degrees are captured from the pinned snapshot now;
+// the returned closure runs lock-free.
 func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]float64, *Result[float64], error) {
 	run := Prepare[float64](g, &prProgram{n: g.N(), alpha: alpha, eps: eps}, cfg)
 	return func() ([]float64, *Result[float64], error) {
@@ -509,30 +492,11 @@ func (ccProgram) Update(ctx *Context[VertexID], v VertexID) []VertexID {
 	return nil
 }
 
-// ConnectedComponents labels components with the minimum member ID via
-// asynchronous min-label propagation.
-func ConnectedComponents(g *graph.Graph, cfg Config) ([]VertexID, *Result[VertexID], error) {
-	return PrepareConnectedComponents(g, cfg)()
-}
-
-// PrepareConnectedComponents is the job-scoped form of
-// ConnectedComponents.
+// PrepareConnectedComponents prepares the labelling of components
+// with the minimum member ID via asynchronous min-label propagation.
+// Graph reads happen now; the returned closure runs against the pinned
+// snapshot.
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, *Result[VertexID], error) {
-	if cfg.PackedState {
-		prog := newCCPackedProgram(g.N())
-		run := Prepare[struct{}](g, prog, cfg)
-		return func() ([]VertexID, *Result[VertexID], error) {
-			res, err := run()
-			var wrapped *Result[VertexID]
-			if res != nil {
-				wrapped = &Result[VertexID]{Values: prog.lbls(), Updates: res.Updates, Stats: res.Stats}
-			}
-			if err != nil {
-				return nil, wrapped, err
-			}
-			return wrapped.Values, wrapped, nil
-		}
-	}
 	run := Prepare[VertexID](g, ccProgram{}, cfg)
 	return func() ([]VertexID, *Result[VertexID], error) {
 		res, err := run()

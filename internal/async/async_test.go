@@ -14,7 +14,7 @@ import (
 func TestAsyncCCMatchesBFS(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.Random(80, 120, seed)
-		labels, _, err := ConnectedComponents(g, Config{})
+		labels, _, err := PrepareConnectedComponents(g, Config{})()
 		if err != nil {
 			return false
 		}
@@ -36,7 +36,7 @@ func TestAsyncSSSPMatchesDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.RandomConnected(60, 180, seed)
 		graph.RandomWeights(g, seed+3)
-		dist, _, err := SSSP(g, 0, Config{})
+		dist, _, err := PrepareSSSP(g, 0, Config{})()
 		if err != nil {
 			return false
 		}
@@ -64,7 +64,7 @@ func TestAsyncPropagatesWithinOneDrain(t *testing.T) {
 	// On a path, one FIFO drain moves a label the whole way: total
 	// updates stay O(n), versus Θ(n) supersteps of the BSP engine.
 	g := graph.Path(4096)
-	labels, ccRes, err := ConnectedComponents(g, Config{})
+	labels, ccRes, err := PrepareConnectedComponents(g, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestAsyncPropagatesWithinOneDrain(t *testing.T) {
 		t.Fatalf("updates = %d; FIFO async should stay ~O(n) on a path", updates)
 	}
 	// Contrast: the synchronous engine needs Θ(n) supersteps.
-	bsp, err := vc.HashMinCC(g, vc.Config{Workers: 4})
+	bsp, err := vc.PrepareHashMinCC(g, vc.Config{Workers: 4})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +88,16 @@ func TestAsyncPropagatesWithinOneDrain(t *testing.T) {
 
 func TestAsyncUpdateCap(t *testing.T) {
 	g := graph.Path(100)
-	if _, _, err := ConnectedComponents(g, Config{MaxUpdates: 5}); err == nil {
+	if _, _, err := PrepareConnectedComponents(g, Config{MaxUpdates: 5})(); err == nil {
 		t.Fatal("expected update cap error")
 	}
 }
 
 func TestAsyncEmptyAndSingleton(t *testing.T) {
-	if labels, res, err := ConnectedComponents(graph.New(0, false), Config{}); err != nil || len(labels) != 0 || res.Updates != 0 {
+	if labels, res, err := PrepareConnectedComponents(graph.New(0, false), Config{})(); err != nil || len(labels) != 0 || res.Updates != 0 {
 		t.Fatalf("empty: %v %v %v", labels, res.Updates, err)
 	}
-	labels, _, err := ConnectedComponents(graph.New(1, false), Config{})
+	labels, _, err := PrepareConnectedComponents(graph.New(1, false), Config{})()
 	if err != nil || labels[0] != 0 {
 		t.Fatalf("singleton: %v %v", labels, err)
 	}
@@ -106,11 +106,11 @@ func TestAsyncEmptyAndSingleton(t *testing.T) {
 func TestAsyncDeterministic(t *testing.T) {
 	g := graph.RandomConnected(200, 500, 9)
 	graph.RandomWeights(g, 10)
-	a, ua, err := SSSP(g, 0, Config{})
+	a, ua, err := PrepareSSSP(g, 0, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ub, err := SSSP(g, 0, Config{})
+	b, ub, err := PrepareSSSP(g, 0, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAsyncPageRankMatchesPowerIteration(t *testing.T) {
 		graph.PreferentialAttachment(500, 3, 4),
 		graph.RandomDirected(300, 1200, 6),
 	} {
-		ranks, prRes, err := PageRank(g, 0.85, 1e-12, Config{})
+		ranks, prRes, err := PreparePageRank(g, 0.85, 1e-12, Config{})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestAsyncPageRankUpdateCountComparableToSync(t *testing.T) {
 	// show up on propagation problems like CC/SSSP — see
 	// TestAsyncPropagatesWithinOneDrain). Pin the "comparable" claim.
 	g := graph.PreferentialAttachment(2000, 3, 8)
-	_, prRes2, err := PageRank(g, 0.85, 1e-9, Config{})
+	_, prRes2, err := PreparePageRank(g, 0.85, 1e-9, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestPrioritizedSSSPMatchesFIFO(t *testing.T) {
 		graph.PreferentialAttachment(500, 3, 4),
 	} {
 		graph.RandomWeights(g, 13)
-		fifo, _, err := SSSP(g, 0, Config{})
+		fifo, _, err := PrepareSSSP(g, 0, Config{})()
 		if err != nil {
 			t.Fatal(err)
 		}
-		prio, _, err := SSSP(g, 0, Config{Prioritized: true})
+		prio, _, err := PrepareSSSP(g, 0, Config{Prioritized: true})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +196,11 @@ func TestPrioritizedSSSPBeatsFIFOOnCorrectionHeavyGraphs(t *testing.T) {
 	// nearly label-setting and does measurably fewer updates.
 	g := graph.Grid(30, 30)
 	graph.RandomWeights(g, 3)
-	_, fifoRes, err := SSSP(g, 0, Config{})
+	_, fifoRes, err := PrepareSSSP(g, 0, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, prioRes, err := SSSP(g, 0, Config{Prioritized: true})
+	_, prioRes, err := PrepareSSSP(g, 0, Config{Prioritized: true})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestPrioritizedSSSPBeatsFIFOOnCorrectionHeavyGraphs(t *testing.T) {
 func TestPrioritizedFallsBackWithoutPrioritizer(t *testing.T) {
 	// ccProgram has no Priority: Prioritized must silently use FIFO.
 	g := graph.Path(50)
-	labels, _, err := ConnectedComponents(g, Config{Prioritized: true})
+	labels, _, err := PrepareConnectedComponents(g, Config{Prioritized: true})()
 	if err != nil {
 		t.Fatal(err)
 	}

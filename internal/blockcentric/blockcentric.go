@@ -78,10 +78,6 @@ type Config struct {
 	// discarded; FaultEvent.Worker/Lane address source/destination
 	// blocks. Under a Job, Blocks is taken from the job's lease.
 	rt.RunEnv
-	// PackedState selects the bit-packed label-store variant for the
-	// algorithms that have one (ConnectedComponents). Results and
-	// superstep counts are byte-identical to the dense programs.
-	PackedState bool
 }
 
 // ErrSuperstepCap mirrors pregel.ErrSuperstepCap. It aliases
@@ -663,27 +659,10 @@ type CCResult struct {
 	Stats *bsp.Stats
 }
 
-// ConnectedComponents runs block-centric min-label connected
-// components.
-func ConnectedComponents(g *graph.Graph, cfg Config) (*CCResult, error) {
-	return PrepareConnectedComponents(g, cfg)()
-}
-
-// PrepareConnectedComponents is the two-phase form: graph reads happen
-// now (NewEngine), the returned closure runs lock-free on the pinned
-// snapshot.
+// PrepareConnectedComponents prepares block-centric min-label
+// connected components. Graph reads happen now (NewEngine); the
+// returned closure runs lock-free on the pinned snapshot.
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() (*CCResult, error) {
-	if cfg.PackedState {
-		prog := newCCPackedProgram(g.N())
-		eng := NewEngine[struct{}, VertexID](g, prog, cfg)
-		return func() (*CCResult, error) {
-			res, err := eng.Run()
-			if err != nil {
-				return nil, err
-			}
-			return &CCResult{Color: prog.lbls(), Stats: res.Stats}, nil
-		}
-	}
 	eng := NewEngine[VertexID, VertexID](g, ccProgram{}, cfg)
 	return func() (*CCResult, error) {
 		res, err := eng.Run()
@@ -700,10 +679,20 @@ func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() (*CCResult, e
 // relaxation to a fixpoint inside the block per superstep, then offers
 // dist+w over boundary edges for vertices whose distance improved.
 // Min-relaxation is order-independent, so values are byte-identical
-// across schedules and fault plans.
-type ssspProgram struct{ src VertexID }
+// across schedules and fault plans. At superstep 0 every block vertex
+// holding a finite tentative distance seeds the local relaxation and
+// offers over boundary edges. On a cold start only the source is
+// finite; a warm restart from seed (see SSSPProgramSeeded) re-announces
+// the whole reached frontier.
+type ssspProgram struct {
+	src  VertexID
+	seed []float64
+}
 
 func (p ssspProgram) Init(g *graph.Graph, id VertexID) float64 {
+	if p.seed != nil {
+		return p.seed[id]
+	}
 	if id == p.src {
 		return 0
 	}
@@ -727,9 +716,8 @@ func (p ssspProgram) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[
 		}
 	}
 	if ctx.Superstep() == 0 {
-		// Seed: only the source has a finite distance to propagate.
 		for _, v := range ctx.Block() {
-			if v == p.src {
+			if !math.IsInf(*ctx.Value(v), 1) {
 				dirty = append(dirty, v)
 				changed[v] = true
 			}
@@ -783,14 +771,9 @@ type SSSPResult struct {
 	Stats *bsp.Stats
 }
 
-// SSSP runs block-centric single-source shortest paths; unreachable
-// vertices keep +Inf, matching seq.Dijkstra.
-func SSSP(g *graph.Graph, src VertexID, cfg Config) (*SSSPResult, error) {
-	return PrepareSSSP(g, src, cfg)()
-}
-
-// PrepareSSSP is the two-phase form of SSSP (see
-// PrepareConnectedComponents).
+// PrepareSSSP prepares block-centric single-source shortest paths;
+// unreachable vertices keep +Inf, matching seq.Dijkstra. The two
+// phases are those of PrepareConnectedComponents.
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, error) {
 	eng := NewEngine[float64, float64](g, ssspProgram{src: src}, cfg)
 	return func() (*SSSPResult, error) {
@@ -855,15 +838,10 @@ type PRResult struct {
 	Stats *bsp.Stats
 }
 
-// PageRank runs K iterations of block-centric power iteration with
-// teleport probability (1-alpha), comparable element-wise to
-// seq.PageRank.
-func PageRank(g *graph.Graph, alpha float64, k int, cfg Config) (*PRResult, error) {
-	return PreparePageRank(g, alpha, k, cfg)()
-}
-
-// PreparePageRank is the two-phase form of PageRank (see
-// PrepareConnectedComponents).
+// PreparePageRank prepares K iterations of block-centric power
+// iteration with teleport probability (1-alpha), comparable
+// element-wise to seq.PageRank. The two phases are those of
+// PrepareConnectedComponents.
 func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*PRResult, error) {
 	eng := NewEngine[float64, float64](g, prProgram{n: g.N(), k: k, alpha: alpha}, cfg)
 	return func() (*PRResult, error) {
@@ -892,96 +870,11 @@ func CCProgramSeeded(seed []VertexID) Program[VertexID, VertexID] {
 	return ccProgram{seed: seed}
 }
 
-// ssspResume is ssspProgram with a generalized superstep 0: every
-// block vertex holding a finite tentative distance seeds the local
-// relaxation and re-offers over boundary edges. On a cold start only
-// the source is finite, so this reduces exactly to the native
-// source-only seeding; on a warm restart it re-announces the whole
-// reached frontier.
-type ssspResume struct {
-	src  VertexID
-	seed []float64
-}
-
-func (p ssspResume) Init(g *graph.Graph, id VertexID) float64 {
-	if p.seed != nil {
-		return p.seed[id]
-	}
-	if id == p.src {
-		return 0
-	}
-	return math.Inf(1)
-}
-
-func (p ssspResume) ComputeBlock(ctx *BlockContext[float64, float64], msgs map[VertexID][]float64) {
-	changed := map[VertexID]bool{}
-	dirty := make([]VertexID, 0, len(msgs))
-	for v, ms := range msgs {
-		for _, d := range ms {
-			ctx.Charge(1)
-			if d < *ctx.Value(v) {
-				*ctx.Value(v) = d
-				changed[v] = true
-			}
-		}
-		if changed[v] {
-			dirty = append(dirty, v)
-		}
-	}
-	if ctx.Superstep() == 0 {
-		// Warm start: every finite distance is live again.
-		for _, v := range ctx.Block() {
-			if !math.IsInf(*ctx.Value(v), 1) {
-				dirty = append(dirty, v)
-				changed[v] = true
-			}
-		}
-	}
-	queue := dirty
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		d := *ctx.Value(v)
-		dsts := ctx.Out(v)
-		ws := ctx.OutWeights(v)
-		for i, u := range dsts {
-			ctx.Charge(1)
-			if !ctx.Local(u) {
-				continue
-			}
-			w := 1.0
-			if ws != nil {
-				w = ws[i]
-			}
-			if nd := d + w; nd < *ctx.Value(u) {
-				*ctx.Value(u) = nd
-				changed[u] = true
-				queue = append(queue, u)
-			}
-		}
-	}
-	for v := range changed {
-		d := *ctx.Value(v)
-		dsts := ctx.Out(v)
-		ws := ctx.OutWeights(v)
-		for i, u := range dsts {
-			if !ctx.Local(u) {
-				w := 1.0
-				if ws != nil {
-					w = ws[i]
-				}
-				ctx.SendTo(u, d+w)
-			}
-		}
-	}
-	ctx.VoteToHalt()
-}
-
 // SSSPProgramSeeded warm-starts block-centric SSSP from exported
 // tentative distances (+Inf for unreached vertices; nil seed is the
 // source-only cold start).
 func SSSPProgramSeeded(src VertexID, seed []float64) Program[float64, float64] {
-	return ssspResume{src: src, seed: seed}
+	return ssspProgram{src: src, seed: seed}
 }
 
 // prCanonical is fixed-iteration PageRank with the Pregel variant's

@@ -38,11 +38,11 @@ func CombinerAblation(n, m int, cfg vc.Config) (string, error) {
 	// zero the wire columns entirely. DirectionAblation measures that.
 	with.Mode = runtime.DirectionPush
 	without.Mode = runtime.DirectionPush
-	a, err := vc.HashMinCC(g, with)
+	a, err := vc.PrepareHashMinCC(g, with)()
 	if err != nil {
 		return "", err
 	}
-	b, err := vc.HashMinCC(g, without)
+	b, err := vc.PrepareHashMinCC(g, without)()
 	if err != nil {
 		return "", err
 	}
@@ -79,7 +79,7 @@ func DirectionAblation(cfg vc.Config) (string, error) {
 	for _, mode := range modes {
 		c := cfg
 		c.Mode = mode
-		res, err := vc.PageRank(pa, 0.85, 10, c)
+		res, err := vc.PreparePageRank(pa, 0.85, 10, c)()
 		if err != nil {
 			return "", err
 		}
@@ -100,7 +100,7 @@ func DirectionAblation(cfg vc.Config) (string, error) {
 	for _, mode := range modes {
 		c := cfg
 		c.Mode = mode
-		res, err := vc.HashMinCC(ws, c)
+		res, err := vc.PrepareHashMinCC(ws, c)()
 		if err != nil {
 			return "", err
 		}
@@ -134,7 +134,7 @@ func BandwidthSweep(cfg vc.Config) (string, error) {
 		return "", err
 	}
 	gp := graph.PreferentialAttachment(4000, 3, 44)
-	pr, err := vc.PageRank(gp, 0.85, 30, cfg)
+	pr, err := vc.PreparePageRank(gp, 0.85, 30, cfg)()
 	if err != nil {
 		return "", err
 	}
@@ -166,7 +166,7 @@ func WorkerSweep() (string, error) {
 	fmt.Fprintf(&out, "%-8s %14s %12s\n", "workers", "P·T", "wall time")
 	for _, w := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		res, err := vc.PageRank(g, 0.85, 10, vc.Config{Workers: w})
+		res, err := vc.PreparePageRank(g, 0.85, 10, vc.Config{Workers: w})()
 		if err != nil {
 			return "", err
 		}
@@ -231,7 +231,7 @@ func PartitionAblation(cfg vc.Config) (string, error) {
 		c := cfg
 		c.Workers = 4
 		c.Partition = s.p
-		res, err := vc.PageRank(g, 0.85, 10, c)
+		res, err := vc.PreparePageRank(g, 0.85, 10, c)()
 		if err != nil {
 			return "", err
 		}
@@ -268,11 +268,11 @@ func FCSAblation(cfg vc.Config) (string, error) {
 	plain := cfg
 	fcs := cfg
 	fcs.FCS = 64
-	a, err := vc.HashMinCC(g, plain)
+	a, err := vc.PrepareHashMinCC(g, plain)()
 	if err != nil {
 		return "", err
 	}
-	b, err := vc.HashMinCC(g, fcs)
+	b, err := vc.PrepareHashMinCC(g, fcs)()
 	if err != nil {
 		return "", err
 	}
@@ -302,7 +302,7 @@ func ParadigmComparison(cfg vc.Config) (string, error) {
 	fmt.Fprintf(&out, "Paradigm comparison — connected components on a path (n=%d, δ=n-1)\n", g.N())
 	fmt.Fprintf(&out, "%-26s %12s %14s %14s\n", "paradigm", "supersteps", "messages", "P·T")
 
-	hm, err := vc.HashMinCC(g, cfg)
+	hm, err := vc.PrepareHashMinCC(g, cfg)()
 	if err != nil {
 		return "", err
 	}
@@ -316,7 +316,7 @@ func ParadigmComparison(cfg vc.Config) (string, error) {
 	fmt.Fprintf(&out, "%-26s %12d %14d %14.0f\n", "vertex-centric S-V",
 		sv.Stats.NumSupersteps(), sv.Stats.TotalMessages, sv.Stats.MeasuredTPP())
 
-	asyncLabels, asyncRes, err := async.ConnectedComponents(g, async.Config{})
+	asyncLabels, asyncRes, err := async.PrepareConnectedComponents(g, async.Config{})()
 	if err != nil {
 		return "", err
 	}
@@ -328,7 +328,7 @@ func ParadigmComparison(cfg vc.Config) (string, error) {
 	fmt.Fprintf(&out, "%-26s %12s %14d %14d\n", "async (GraphLab-style)", "-", asyncRes.Updates, asyncRes.Updates)
 
 	for _, blocks := range []int{4, 16} {
-		bc, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: blocks})
+		bc, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: blocks})()
 		if err != nil {
 			return "", err
 		}
@@ -358,7 +358,7 @@ func ModelComparison(cfg vc.Config) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	gasRanks, gasRes, err := gas.PageRank(g, 0.85, eps, gas.Config{Workers: 4})
+	gasRanks, gasRes, err := gas.PreparePageRank(g, 0.85, eps, gas.Config{Workers: 4})()
 	if err != nil {
 		return "", err
 	}
@@ -424,14 +424,14 @@ func RecoveryCostSweep(cfg vc.Config) (string, error) {
 		run  func(c vc.Config) (any, *bsp.Stats, error)
 	}{
 		{"PageRank, powerlaw n=2000", func(c vc.Config) (any, *bsp.Stats, error) {
-			res, err := vc.PageRank(prGraph, 0.85, 30, c)
+			res, err := vc.PreparePageRank(prGraph, 0.85, 30, c)()
 			if err != nil {
 				return nil, nil, err
 			}
 			return res.Ranks, res.Stats, nil
 		}},
 		{"SSSP, weighted 40x40 grid", func(c vc.Config) (any, *bsp.Stats, error) {
-			res, err := vc.SSSP(ssspGraph, 0, c)
+			res, err := vc.PrepareSSSP(ssspGraph, 0, c)()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -480,7 +480,7 @@ func CheckpointCompactionSweep(cfg vc.Config) (string, error) {
 	g := graph.Grid(60, 60)
 	graph.RandomWeights(g, 9)
 	run := func(c vc.Config) (any, *bsp.Stats, error) {
-		res, err := vc.SSSP(g, 0, c)
+		res, err := vc.PrepareSSSP(g, 0, c)()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -560,11 +560,11 @@ func PlannerAblation(cfg vc.Config) (string, error) {
 			var err error
 			switch w.algo {
 			case "pagerank":
-				_, ar, err = vc.PageRankAuto(w.g, 0.85, 20, acfg)
+				_, ar, err = vc.PrepareAutoPageRank(w.g, 0.85, 20, acfg)()
 			case "cc":
-				_, ar, err = vc.HashMinCCAuto(w.g, acfg)
+				_, ar, err = vc.PrepareAutoHashMinCC(w.g, acfg)()
 			case "sssp":
-				_, ar, err = vc.SSSPAuto(w.g, 0, acfg)
+				_, ar, err = vc.PrepareAutoSSSP(w.g, 0, acfg)()
 			}
 			if err != nil {
 				return 0, nil, err

@@ -153,7 +153,7 @@ func Experiments() []*Experiment {
 			},
 			Run: func(sc Scale, cfg vc.Config) (bsp.Measurement, error) {
 				g := graph.PreferentialAttachment(sc.N, sc.M, sc.Seed)
-				res, err := vc.PageRank(g, 0.85, 30, cfg)
+				res, err := vc.PreparePageRank(g, 0.85, 30, cfg)()
 				if err != nil {
 					return bsp.Measurement{}, err
 				}
@@ -171,7 +171,7 @@ func Experiments() []*Experiment {
 			Notes: "straight-line graph (the paper's witness): δ = n-1, so O(δ) supersteps and O(mδ) work",
 			Run: func(sc Scale, cfg vc.Config) (bsp.Measurement, error) {
 				g := graph.Path(sc.N)
-				res, err := vc.HashMinCC(g, cfg)
+				res, err := vc.PrepareHashMinCC(g, cfg)()
 				if err != nil {
 					return bsp.Measurement{}, err
 				}
@@ -416,7 +416,7 @@ func Experiments() []*Experiment {
 				side := int(math.Round(math.Sqrt(float64(sc.N))))
 				g := graph.Grid(side, side)
 				graph.RandomWeights(g, sc.Seed+100)
-				res, err := vc.SSSP(g, 0, cfg)
+				res, err := vc.PrepareSSSP(g, 0, cfg)()
 				if err != nil {
 					return bsp.Measurement{}, err
 				}

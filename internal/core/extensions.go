@@ -50,7 +50,7 @@ func ExtensionExperiments() []*Experiment {
 			Notes: "monotone estimates bound total updates by O(m), so work stays comparable (ratio flat ≈8) — but caterpillar trees cascade corrections one hop per superstep: Θ(n) rounds, Hash-Min's δ-driven P4 failure",
 			Run: func(sc Scale, cfg vc.Config) (bsp.Measurement, error) {
 				g := graph.CaterpillarTree(sc.N)
-				res, err := vc.KCore(g, cfg)
+				res, err := vc.PrepareKCore(g, cfg)()
 				if err != nil {
 					return bsp.Measurement{}, err
 				}

@@ -60,10 +60,6 @@ type Config struct {
 	// PullThreshold overrides the auto-mode active-set density
 	// threshold (fraction of n; <= 0 means rt.DefaultPullThreshold).
 	PullThreshold float64
-	// PackedState selects the bit-packed label-store variant for the
-	// algorithms that have one (ConnectedComponents). Results and
-	// iteration counts are byte-identical to the dense programs.
-	PackedState bool
 	// Snapshot, when non-nil, is an already-pinned CSR generation the
 	// engine must run against instead of pinning the graph's current
 	// one (the adaptive plan layer re-prepares engines mid-job; see
@@ -117,30 +113,17 @@ type Stepper interface {
 	BeforeStep(step int)
 }
 
-// ApplierAt is an optional Program extension: when implemented, the
-// engine calls ApplyAt(v, total) instead of Apply(&next[v], total).
-// Programs that keep vertex state outside the value array (the
-// bit-packed stores of internal/vc) need the vertex ID to address it;
-// the value-array Apply never sees one.
-type ApplierAt[G any] interface {
-	ApplyAt(v VertexID, total G) bool
-}
-
-// Run executes prog on g to quiescence. The graph must be directed
-// with in-adjacency built, or undirected (in = out). The iteration
+// Prepare builds the engine that executes prog on g to quiescence —
+// pinning the CSR snapshot, partitioning, and seeding every vertex
+// value — and returns the run. The graph must be directed with
+// in-adjacency built, or undirected (in = out). The iteration
 // lifecycle — dispatch, fault firing, checkpoint cadence, rollback,
 // halting, cost accounting — is owned by the shared runtime.Driver;
-// this package contributes the gather/apply/scatter policy.
-func Run[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) (*Result[V], error) {
-	return Prepare(g, prog, cfg)()
-}
-
-// Prepare builds the engine for prog over g — pinning the CSR
-// snapshot, partitioning, and seeding every vertex value — and returns
-// the run. Every read of the mutable graph happens inside Prepare; the
-// returned closure touches only the snapshot and engine-private state,
-// so a serving layer can construct jobs under a graph read lock and
-// execute them lock-free while writers mutate and republish.
+// this package contributes the gather/apply/scatter policy. Every read
+// of the mutable graph happens inside Prepare; the returned closure
+// touches only the snapshot and engine-private state, so a serving
+// layer can construct jobs under a graph read lock and execute them
+// lock-free while writers mutate and republish.
 func Prepare[V, G any](g *graph.Graph, prog Program[V, G], cfg Config) func() (*Result[V], error) {
 	if cfg.Job != nil {
 		cfg.Workers = cfg.Job.Workers()
@@ -266,7 +249,6 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 	if pull {
 		p.bcast.Advance()
 	}
-	applyAt, useApplyAt := any(prog).(ApplierAt[G])
 	p.driver.Lease().Run(func(w int) {
 		var workW, sentW, activeW int64
 		for _, vid := range p.verts[w] {
@@ -288,13 +270,7 @@ func (p *policy[V, G]) Superstep(step int, ss *bsp.SuperstepStats) (int, error) 
 				}
 			}
 			workW += int64(len(srcs))
-			var changed bool
-			if useApplyAt {
-				changed = applyAt.ApplyAt(vid, total)
-			} else {
-				changed = prog.Apply(&p.next[v], total)
-			}
-			if changed {
+			if prog.Apply(&p.next[v], total) {
 				if pull {
 					// Pulled scatter: mark the change; destinations
 					// find it on their transpose spans below. No
@@ -492,15 +468,10 @@ func (p *prProgram) Apply(v *prVal, total float64) bool {
 	return changed
 }
 
-// PageRank runs adaptive (delta-scheduled) PageRank in the GAS model
-// until every vertex's rank moves less than eps in an iteration.
-func PageRank(g *graph.Graph, alpha, eps float64, cfg Config) ([]float64, *Result[prVal], error) {
-	return PreparePageRank(g, alpha, eps, cfg)()
-}
-
-// PreparePageRank is the two-phase form of PageRank: graph reads
-// happen now, the returned closure runs lock-free on the pinned
-// snapshot (see Prepare).
+// PreparePageRank prepares adaptive (delta-scheduled) PageRank in the
+// GAS model, run until every vertex's rank moves less than eps in an
+// iteration. Graph reads happen now; the returned closure runs
+// lock-free on the pinned snapshot (see Prepare).
 func PreparePageRank(g *graph.Graph, alpha, eps float64, cfg Config) func() ([]float64, *Result[prVal], error) {
 	n := g.N()
 	prog := &prProgram{n: n, alpha: alpha, eps: eps}
@@ -557,30 +528,13 @@ func (ccProgram) Apply(v *VertexID, total VertexID) bool {
 	return false
 }
 
-// ConnectedComponents labels every vertex with the smallest vertex ID
-// in its (weakly, pull-over-in-edges) connected component; on
-// undirected graphs this matches seq.Components. Min is associative
-// and order-independent, so the result is identical across worker
-// counts and fault schedules.
-func ConnectedComponents(g *graph.Graph, cfg Config) ([]VertexID, *Result[VertexID], error) {
-	return PrepareConnectedComponents(g, cfg)()
-}
-
-// PrepareConnectedComponents is the two-phase form of
-// ConnectedComponents (see Prepare).
+// PrepareConnectedComponents prepares the labelling of every vertex
+// with the smallest vertex ID in its (weakly, pull-over-in-edges)
+// connected component; on undirected graphs this matches
+// seq.Components. Min is associative and order-independent, so the
+// result is identical across worker counts and fault schedules (see
+// Prepare for the two phases).
 func PrepareConnectedComponents(g *graph.Graph, cfg Config) func() ([]VertexID, *Result[VertexID], error) {
-	if cfg.PackedState {
-		prog := newCCPackedProgram(g.N())
-		run := Prepare[struct{}, VertexID](g, prog, cfg)
-		return func() ([]VertexID, *Result[VertexID], error) {
-			res, err := run()
-			if err != nil {
-				return nil, nil, err
-			}
-			labels := prog.labels()
-			return labels, &Result[VertexID]{Values: labels, Iterations: res.Iterations, Stats: res.Stats}, nil
-		}
-	}
 	run := Prepare[VertexID, VertexID](g, ccProgram{}, cfg)
 	return func() ([]VertexID, *Result[VertexID], error) {
 		res, err := run()
@@ -626,18 +580,13 @@ func (p ssspProgram) Apply(v *float64, total float64) bool {
 	return false
 }
 
-// SSSP computes single-source shortest paths by pull-based distance
-// relaxation (Bellman-Ford style): every vertex starts active, so the
-// source's neighbors pick up their first finite distance in iteration
-// 0 without the source pushing anything. Unreachable vertices keep
-// +Inf, matching seq.Dijkstra. Min-relaxation is order-independent,
-// so results are byte-identical across worker counts and fault
-// schedules.
-func SSSP(g *graph.Graph, src VertexID, cfg Config) ([]float64, *Result[float64], error) {
-	return PrepareSSSP(g, src, cfg)()
-}
-
-// PrepareSSSP is the two-phase form of SSSP (see Prepare).
+// PrepareSSSP prepares single-source shortest paths by pull-based
+// distance relaxation (Bellman-Ford style): every vertex starts active,
+// so the source's neighbors pick up their first finite distance in
+// iteration 0 without the source pushing anything. Unreachable
+// vertices keep +Inf, matching seq.Dijkstra. Min-relaxation is
+// order-independent, so results are byte-identical across worker
+// counts and fault schedules (see Prepare for the two phases).
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() ([]float64, *Result[float64], error) {
 	run := Prepare[float64, float64](g, ssspProgram{src: src}, cfg)
 	return func() ([]float64, *Result[float64], error) {

@@ -17,7 +17,7 @@ func TestGASPageRankMatchesPowerIteration(t *testing.T) {
 		graph.RandomDirected(400, 1600, 5),
 		graph.Cycle(64),
 	} {
-		ranks, _, err := PageRank(g, 0.85, 1e-12, Config{Workers: 4})
+		ranks, _, err := PreparePageRank(g, 0.85, 1e-12, Config{Workers: 4})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestGASAdaptiveSchedulingShrinksWork(t *testing.T) {
 	// Delta scheduling: later iterations touch far fewer edges than the
 	// first (only un-converged regions stay active).
 	g := graph.PreferentialAttachment(3000, 3, 7)
-	_, res, err := PageRank(g, 0.85, 1e-8, Config{Workers: 4})
+	_, res, err := PreparePageRank(g, 0.85, 1e-8, Config{Workers: 4})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestGASMatchesPregelPageRank(t *testing.T) {
 	// Cross-paradigm agreement: GAS-to-convergence equals
 	// Pregel-to-convergence on the same graph.
 	g := graph.PreferentialAttachment(500, 2, 9)
-	gasRanks, _, err := PageRank(g, 0.85, 1e-12, Config{Workers: 2})
+	gasRanks, _, err := PreparePageRank(g, 0.85, 1e-12, Config{Workers: 2})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestGASMatchesPregelPageRank(t *testing.T) {
 func TestGASQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.Random(50, 150, seed)
-		ranks, _, err := PageRank(g, 0.85, 1e-12, Config{Workers: 3})
+		ranks, _, err := PreparePageRank(g, 0.85, 1e-12, Config{Workers: 3})()
 		if err != nil {
 			return false
 		}
@@ -97,7 +97,7 @@ func TestGASQuick(t *testing.T) {
 func TestGASIterationCap(t *testing.T) {
 	g := graph.Cycle(32)
 	prog := &neverConverge{}
-	if _, err := Run[int, int](g, prog, Config{Workers: 2, MaxIterations: 5}); err == nil {
+	if _, err := Prepare[int, int](g, prog, Config{Workers: 2, MaxIterations: 5})(); err == nil {
 		t.Fatal("expected iteration cap error")
 	}
 }
@@ -112,7 +112,7 @@ func (neverConverge) Apply(v *int, total int) bool               { *v++; return 
 
 func TestGASEmptyGraph(t *testing.T) {
 	g := graph.New(0, false)
-	ranks, res, err := PageRank(g, 0.85, 1e-9, Config{})
+	ranks, res, err := PreparePageRank(g, 0.85, 1e-9, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +123,11 @@ func TestGASEmptyGraph(t *testing.T) {
 
 func TestGASDeterministicAcrossWorkers(t *testing.T) {
 	g := graph.PreferentialAttachment(300, 3, 4)
-	a, _, err := PageRank(g, 0.85, 1e-10, Config{Workers: 1})
+	a, _, err := PreparePageRank(g, 0.85, 1e-10, Config{Workers: 1})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := PageRank(g, 0.85, 1e-10, Config{Workers: 8})
+	b, _, err := PreparePageRank(g, 0.85, 1e-10, Config{Workers: 8})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestGASDeterministicAcrossWorkers(t *testing.T) {
 
 func TestGASStatsRecordEdgeWork(t *testing.T) {
 	g := graph.Cycle(50)
-	_, res, err := PageRank(g, 0.85, 1e-9, Config{Workers: 2})
+	_, res, err := PreparePageRank(g, 0.85, 1e-9, Config{Workers: 2})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestGASDanglingVerticesMatchPregelConvention(t *testing.T) {
 		g.AddEdge(graph.VertexID(i), 0)
 	}
 	g.EnsureIn()
-	ranks, _, err := PageRank(g, 0.85, 1e-12, Config{})
+	ranks, _, err := PreparePageRank(g, 0.85, 1e-12, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,10 +128,17 @@ func (c *Column[V]) Reset() {
 }
 
 // Bytes is the frame's deterministic resident-byte estimate (see
-// SnapshotSizer); program-private state is opaque and excluded on both
-// frame kinds alike.
+// SnapshotSizer): the values, a delta frame's IDs, and the program
+// state when its snapshot reports SizeBytes() int, as a StateStore
+// clone does. Program state is copied whole into every frame, delta
+// frames included, so it counts on both frame kinds; state without
+// SizeBytes is opaque and counts nothing.
 func (f ColumnFrame[V]) Bytes() int64 {
-	return int64(len(f.values))*SizeOf[V]() + int64(len(f.IDs))*SizeOf[VertexID]()
+	b := int64(len(f.values))*SizeOf[V]() + int64(len(f.IDs))*SizeOf[VertexID]()
+	if s, ok := f.state.(interface{ SizeBytes() int }); ok {
+		b += int64(s.SizeBytes())
+	}
+	return b
 }
 
 func (c *Column[V]) clone(v V) V {

@@ -210,3 +210,39 @@ func FuzzColumnChain(f *testing.F) {
 		}
 	})
 }
+
+// storeProg keeps its vertex state in a packed store outside the value
+// array and checkpoints a clone of it, as the packed programs in
+// internal/vc do.
+type storeProg struct{ store StateStore }
+
+func (p *storeProg) SnapshotState() any { return p.store.Clone() }
+
+func (p *storeProg) RestoreState(s any) {
+	if s != nil {
+		p.store.CopyFrom(s.(StateStore))
+	}
+}
+
+// TestColumnFrameBytesCountsSizedState: a program-state snapshot that
+// reports SizeBytes is cloned whole into every frame, so both frame
+// kinds count it; opaque state counts nothing.
+func TestColumnFrameBytesCountsSizedState(t *testing.T) {
+	const n = 100
+	prog := &storeProg{store: NewPackedInts(n, n)}
+	state := int64(prog.store.SizeBytes())
+	c := NewColumn[struct{}](prog, make([]struct{}, n), false)
+	if got := c.Full().Bytes(); got != state {
+		t.Fatalf("full frame bytes = %d, want the store's %d", got, state)
+	}
+	c.Mark(3)
+	c.Mark(7)
+	if got, want := c.Delta().Bytes(), 2*SizeOf[VertexID]()+state; got != want {
+		t.Fatalf("delta frame bytes = %d, want %d", got, want)
+	}
+
+	opaque := NewColumn[int64](&sliceProg{state: 5}, make([]int64, n), false)
+	if got, want := opaque.Full().Bytes(), n*SizeOf[int64](); got != want {
+		t.Fatalf("opaque-state full frame bytes = %d, want %d", got, want)
+	}
+}

@@ -15,9 +15,8 @@ import (
 // program variant can swap the flat array for a bit-packed one without
 // changing its message flow, which is what keeps packed-state runs
 // byte-identical to dense ones. The implementation lives here in the
-// shared runtime so every engine's packed program variants
-// (pregel/gas/async/blockcentric) can build on it; internal/vc
-// re-exports it as the algorithm-facing surface.
+// shared runtime; internal/vc, whose pregel programs are the only
+// packed variants, re-exports it as the algorithm-facing surface.
 //
 // Concurrency: engines run vertices of different workers concurrently,
 // and with sub-word entries two vertices of different workers can share

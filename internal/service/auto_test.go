@@ -50,7 +50,7 @@ func TestAutoJobEndToEnd(t *testing.T) {
 	if res.auto.GraphStats.N != 300 {
 		t.Fatalf("sampled stats %+v, want n=300", res.auto.GraphStats)
 	}
-	direct, err := vc.HashMinCC(graph.Path(300), vc.Config{Workers: 1})
+	direct, err := vc.PrepareHashMinCC(graph.Path(300), vc.Config{Workers: 1})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestAutoJobEndToEnd(t *testing.T) {
 	if got := prRes.auto.Decisions[0].Plan; got.Engine != plan.EngineGAS || got.Partition != plan.PartitionDegree {
 		t.Fatalf("powerlaw/pagerank initial plan = %+v, want gas/degree", got)
 	}
-	prDirect, err := vc.PageRank(graph.PreferentialAttachment(400, 3, 7), 0.85, 15, vc.Config{Workers: 1})
+	prDirect, err := vc.PreparePageRank(graph.PreferentialAttachment(400, 3, 7), 0.85, 15, vc.Config{Workers: 1})()
 	if err != nil {
 		t.Fatal(err)
 	}

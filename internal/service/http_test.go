@@ -110,7 +110,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	// The daemon's point query must match a direct library run on the
 	// same generator graph.
 	g := graph.RandomConnected(300, 900, 5)
-	res, err := vc.PageRank(g, 0.85, 20, vc.Config{Workers: 2})
+	res, err := vc.PreparePageRank(g, 0.85, 20, vc.Config{Workers: 2})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +146,20 @@ func TestHTTPErrors(t *testing.T) {
 	// So is a negative PageRank iteration count.
 	doJSON(t, "POST", ts.URL+"/v1/jobs",
 		JobSpec{Graph: "g", Algo: "pagerank", Engine: "inc", K: -5}, http.StatusBadRequest)
+	// Specs that would exhaust or mislead the daemon are bad requests
+	// too: a worker count past the cap, a damping factor outside
+	// [0, 1], a negative tolerance, and an incremental PageRank whose
+	// rank history would pass MaxIncHistoryBytes.
+	for _, spec := range []JobSpec{
+		{Graph: "g", Algo: "cc", Workers: -1},
+		{Graph: "g", Algo: "cc", Workers: MaxJobWorkers + 1},
+		{Graph: "g", Algo: "pagerank", Engine: "gas", Alpha: 5},
+		{Graph: "g", Algo: "pagerank", Engine: "blockcentric", Alpha: -0.5},
+		{Graph: "g", Algo: "pagerank", Engine: "async", Eps: -1},
+		{Graph: "g", Algo: "pagerank", Engine: "inc", K: MaxIncHistoryBytes / (8 * 300)},
+	} {
+		doJSON(t, "POST", ts.URL+"/v1/jobs", spec, http.StatusBadRequest)
+	}
 	// "checkpoint" is the only wire name for the cadence: the retired
 	// "checkpoint_every" alias is an unknown field.
 	doJSON(t, "POST", ts.URL+"/v1/jobs",

@@ -394,6 +394,16 @@ func (s *Server) withDefaults(spec JobSpec) JobSpec {
 	return spec
 }
 
+// MaxJobWorkers caps a job's workers field. Mailbox lanes grow as the
+// square of the worker count, so one spec with thousands of workers can
+// exhaust the daemon's memory even on a tiny graph; 1024 workers on a
+// 60-vertex graph costs tens of megabytes.
+const MaxJobWorkers = 1024
+
+// MaxIncHistoryBytes caps the rank history an incremental PageRank job
+// keeps: one float64 per vertex per iteration, 8·n·(k+1) bytes.
+const MaxIncHistoryBytes = 1 << 30
+
 // validateSpec checks a defaulted spec against the serving table and
 // the graph's vertex count n, returning the pair's entry and the
 // parsed direction mode.
@@ -413,8 +423,23 @@ func validateSpec(spec JobSpec, n int) (servingEntry, rt.DirectionMode, error) {
 	if spec.Algo == "sssp" && (spec.Src < 0 || spec.Src >= n) {
 		return entry, 0, fmt.Errorf("service: sssp source %d outside [0, %d)", spec.Src, n)
 	}
-	if spec.Algo == "pagerank" && spec.K < 0 {
-		return entry, 0, fmt.Errorf("service: pagerank k %d is negative", spec.K)
+	if spec.Workers < 0 || spec.Workers > MaxJobWorkers {
+		return entry, 0, fmt.Errorf("service: workers %d outside [0, %d]", spec.Workers, MaxJobWorkers)
+	}
+	if spec.Algo == "pagerank" {
+		if spec.K < 0 {
+			return entry, 0, fmt.Errorf("service: pagerank k %d is negative", spec.K)
+		}
+		if !(spec.Alpha >= 0 && spec.Alpha <= 1) {
+			return entry, 0, fmt.Errorf("service: pagerank alpha %v outside [0, 1]", spec.Alpha)
+		}
+		if !(spec.Eps >= 0) {
+			return entry, 0, fmt.Errorf("service: pagerank eps %v is negative", spec.Eps)
+		}
+		if spec.Engine == "inc" && n > 0 && spec.K >= MaxIncHistoryBytes/(8*n) {
+			return entry, 0, fmt.Errorf("service: incremental pagerank history for k %d on %d vertices exceeds %d bytes",
+				spec.K, n, MaxIncHistoryBytes)
+		}
 	}
 	mode, err := rt.ParseDirectionMode(spec.Mode)
 	if err != nil {

@@ -178,15 +178,9 @@ func fixedOwner(owner []int32) runtime.Partitioner {
 
 // --- auto PageRank ---
 
-// PageRankAuto runs k iterations of PageRank under the adaptive plan
-// layer.
-func PageRankAuto(g *graph.Graph, alpha float64, k int, cfg AutoConfig) (*PageRankResult, *AutoResult, error) {
-	return PrepareAutoPageRank(g, alpha, k, cfg)()
-}
-
-// PrepareAutoPageRank is the job-scoped form of PageRankAuto: the
-// snapshot is pinned and sampled now, the returned closure runs the
-// segment loop lock-free.
+// PrepareAutoPageRank prepares k iterations of PageRank under the
+// adaptive plan layer: the snapshot is pinned and sampled now, the
+// returned closure runs the segment loop lock-free.
 func PrepareAutoPageRank(g *graph.Graph, alpha float64, k int, cfg AutoConfig) func() (*PageRankResult, *AutoResult, error) {
 	csr := g.Pin()
 	workers := autoWorkers(cfg.Config)
@@ -285,13 +279,9 @@ func PrepareAutoPageRank(g *graph.Graph, alpha float64, k int, cfg AutoConfig) f
 
 // --- auto connected components ---
 
-// HashMinCCAuto runs connected components under the adaptive plan
-// layer.
-func HashMinCCAuto(g *graph.Graph, cfg AutoConfig) (*CCResult, *AutoResult, error) {
-	return PrepareAutoHashMinCC(g, cfg)()
-}
-
-// PrepareAutoHashMinCC is the job-scoped form of HashMinCCAuto.
+// PrepareAutoHashMinCC prepares connected components under the
+// adaptive plan layer, pinning and sampling the snapshot now like
+// PrepareAutoPageRank.
 func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *AutoResult, error) {
 	csr := g.Pin()
 	workers := autoWorkers(cfg.Config)
@@ -387,13 +377,9 @@ func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *Au
 
 // --- auto single-source shortest paths ---
 
-// SSSPAuto runs single-source shortest paths under the adaptive plan
-// layer.
-func SSSPAuto(g *graph.Graph, src VertexID, cfg AutoConfig) (*SSSPResult, *AutoResult, error) {
-	return PrepareAutoSSSP(g, src, cfg)()
-}
-
-// PrepareAutoSSSP is the job-scoped form of SSSPAuto.
+// PrepareAutoSSSP prepares single-source shortest paths under the
+// adaptive plan layer, pinning and sampling the snapshot now like
+// PrepareAutoPageRank.
 func PrepareAutoSSSP(g *graph.Graph, src VertexID, cfg AutoConfig) func() (*SSSPResult, *AutoResult, error) {
 	csr := g.Pin()
 	workers := autoWorkers(cfg.Config)

@@ -70,7 +70,7 @@ func autoPRGraph() *graph.Graph {
 // engine run with a worker share of 1.
 func TestAutoHandoffDifferentialCC(t *testing.T) {
 	g := autoCCGraph()
-	want, err := HashMinCC(g, Config{Workers: 1})
+	want, err := PrepareHashMinCC(g, Config{Workers: 1})()
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestAutoHandoffDifferentialCC(t *testing.T) {
 						dec(2, e2, partFor(e2), "auto"),
 					},
 				}
-				res, ar, err := HashMinCCAuto(g, cfg)
+				res, ar, err := PrepareAutoHashMinCC(g, cfg)()
 				if err != nil {
 					t.Fatalf("auto: %v", err)
 				}
@@ -117,7 +117,7 @@ func TestAutoHandoffDifferentialCC(t *testing.T) {
 func TestAutoHandoffDifferentialSSSP(t *testing.T) {
 	g := autoSSSPGraph()
 	src := graph.VertexID(0)
-	want, err := SSSP(g, src, Config{Workers: 1})
+	want, err := PrepareSSSP(g, src, Config{Workers: 1})()
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
@@ -140,7 +140,7 @@ func TestAutoHandoffDifferentialSSSP(t *testing.T) {
 						dec(2, e2, partFor(e2), "auto"),
 					},
 				}
-				res, ar, err := SSSPAuto(g, src, cfg)
+				res, ar, err := PrepareAutoSSSP(g, src, cfg)()
 				if err != nil {
 					t.Fatalf("auto: %v", err)
 				}
@@ -165,7 +165,7 @@ func TestAutoHandoffDifferentialSSSP(t *testing.T) {
 func TestAutoHandoffDifferentialPageRank(t *testing.T) {
 	g := autoPRGraph()
 	const alpha, k = 0.85, 20
-	want, err := PageRank(g, alpha, k, Config{Workers: 1})
+	want, err := PreparePageRank(g, alpha, k, Config{Workers: 1})()
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestAutoHandoffDifferentialPageRank(t *testing.T) {
 	)
 	for _, c := range cells {
 		t.Run(c.name, func(t *testing.T) {
-			res, ar, err := PageRankAuto(g, alpha, k, AutoConfig{Config: Config{Workers: c.workers}, Script: c.script})
+			res, ar, err := PrepareAutoPageRank(g, alpha, k, AutoConfig{Config: Config{Workers: c.workers}, Script: c.script})()
 			if err != nil {
 				t.Fatalf("auto: %v", err)
 			}
@@ -222,10 +222,10 @@ func TestAutoHandoffDifferentialPageRank(t *testing.T) {
 	// Multi-worker pregel folds per-lane, which reorders the sum:
 	// tolerance comparison only.
 	t.Run("pregel->gas/w4-tolerance", func(t *testing.T) {
-		res, ar, err := PageRankAuto(g, alpha, k, AutoConfig{Config: Config{Workers: 4}, Script: []plan.Decision{
+		res, ar, err := PrepareAutoPageRank(g, alpha, k, AutoConfig{Config: Config{Workers: 4}, Script: []plan.Decision{
 			dec(0, plan.EnginePregel, "hash", "auto"),
 			dec(3, plan.EngineGAS, "hash", "auto"),
-		}})
+		}})()
 		if err != nil {
 			t.Fatalf("auto: %v", err)
 		}
@@ -246,15 +246,15 @@ func TestAutoHandoffDifferentialPageRank(t *testing.T) {
 func TestAutoDoubleHandoffPageRank(t *testing.T) {
 	g := autoPRGraph()
 	const alpha, k = 0.85, 20
-	want, err := PageRank(g, alpha, k, Config{Workers: 1})
+	want, err := PreparePageRank(g, alpha, k, Config{Workers: 1})()
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	res, ar, err := PageRankAuto(g, alpha, k, AutoConfig{Config: Config{Workers: 1}, Script: []plan.Decision{
+	res, ar, err := PrepareAutoPageRank(g, alpha, k, AutoConfig{Config: Config{Workers: 1}, Script: []plan.Decision{
 		dec(0, plan.EnginePregel, "hash", "auto"),
 		dec(3, plan.EngineGAS, "hash", "auto"),
 		dec(9, plan.EngineBlockcentric, "range", "auto"),
-	}})
+	}})()
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
@@ -279,17 +279,17 @@ func TestAutoHandoffUnderFaults(t *testing.T) {
 	} {
 		t.Run("cc/"+pair[0]+"->"+pair[1], func(t *testing.T) {
 			g := autoCCGraph()
-			want, err := HashMinCC(g, Config{Workers: 1})
+			want, err := PrepareHashMinCC(g, Config{Workers: 1})()
 			if err != nil {
 				t.Fatalf("native: %v", err)
 			}
-			res, ar, err := HashMinCCAuto(g, AutoConfig{
+			res, ar, err := PrepareAutoHashMinCC(g, AutoConfig{
 				Config: Config{Workers: 4, RunEnv: runtime.RunEnv{CheckpointEvery: 2, Faults: faults}},
 				Script: []plan.Decision{
 					dec(0, pair[0], partFor(pair[0]), "auto"),
 					dec(2, pair[1], partFor(pair[1]), "auto"),
 				},
-			})
+			})()
 			if err != nil {
 				t.Fatalf("auto: %v", err)
 			}
@@ -304,17 +304,17 @@ func TestAutoHandoffUnderFaults(t *testing.T) {
 		})
 		t.Run("sssp/"+pair[0]+"->"+pair[1], func(t *testing.T) {
 			g := autoSSSPGraph()
-			want, err := SSSP(g, 0, Config{Workers: 1})
+			want, err := PrepareSSSP(g, 0, Config{Workers: 1})()
 			if err != nil {
 				t.Fatalf("native: %v", err)
 			}
-			res, ar, err := SSSPAuto(g, 0, AutoConfig{
+			res, ar, err := PrepareAutoSSSP(g, 0, AutoConfig{
 				Config: Config{Workers: 4, RunEnv: runtime.RunEnv{CheckpointEvery: 2, Faults: faults}},
 				Script: []plan.Decision{
 					dec(0, pair[0], partFor(pair[0]), "auto"),
 					dec(2, pair[1], partFor(pair[1]), "auto"),
 				},
-			})
+			})()
 			if err != nil {
 				t.Fatalf("auto: %v", err)
 			}
@@ -334,11 +334,11 @@ func TestAutoHandoffUnderFaults(t *testing.T) {
 // must start block-centric, and the result must match the native run.
 func TestAutoPlannerInitialCC(t *testing.T) {
 	g := autoCCGraph()
-	want, err := HashMinCC(g, Config{Workers: 1})
+	want, err := PrepareHashMinCC(g, Config{Workers: 1})()
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	res, ar, err := HashMinCCAuto(g, AutoConfig{Config: Config{Workers: 4}})
+	res, ar, err := PrepareAutoHashMinCC(g, AutoConfig{Config: Config{Workers: 4}})()
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
@@ -364,14 +364,14 @@ func TestAutoPlannerMidRunSwitch(t *testing.T) {
 	for i := graph.VertexID(120); i < 160; i++ {
 		g.AddEdge(0, i)
 	}
-	want, err := SSSP(g, 0, Config{Workers: 1})
+	want, err := PrepareSSSP(g, 0, Config{Workers: 1})()
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	res, ar, err := SSSPAuto(g, 0, AutoConfig{
+	res, ar, err := PrepareAutoSSSP(g, 0, AutoConfig{
 		Config:  Config{Workers: 4},
 		Planner: &plan.Planner{Every: 4},
-	})
+	})()
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}
@@ -398,11 +398,11 @@ func TestAutoPlannerMidRunSwitch(t *testing.T) {
 func TestAutoPageRankPlanner(t *testing.T) {
 	g := autoPRGraph()
 	const alpha, k = 0.85, 15
-	want, err := PageRank(g, alpha, k, Config{Workers: 1})
+	want, err := PreparePageRank(g, alpha, k, Config{Workers: 1})()
 	if err != nil {
 		t.Fatalf("native: %v", err)
 	}
-	res, ar, err := PageRankAuto(g, alpha, k, AutoConfig{Config: Config{Workers: 1}})
+	res, ar, err := PrepareAutoPageRank(g, alpha, k, AutoConfig{Config: Config{Workers: 1}})()
 	if err != nil {
 		t.Fatalf("auto: %v", err)
 	}

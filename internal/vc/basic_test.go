@@ -30,7 +30,7 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 	for name, g := range graphs {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			res, err := PageRank(g, 0.85, 30, Config{Workers: 4})
+			res, err := PreparePageRank(g, 0.85, 30, Config{Workers: 4})()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,7 +47,7 @@ func TestPageRankMatchesPowerIteration(t *testing.T) {
 
 func TestPageRankSuperstepCount(t *testing.T) {
 	g := graph.Random(100, 300, 3)
-	res, err := PageRank(g, 0.85, 10, Config{})
+	res, err := PreparePageRank(g, 0.85, 10, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestPageRankSuperstepCount(t *testing.T) {
 func TestPageRankRanksSumToOneOnRegularGraph(t *testing.T) {
 	// No dangling vertices on a cycle, so rank mass is conserved.
 	g := graph.Cycle(64)
-	res, err := PageRank(g, 0.85, 40, Config{})
+	res, err := PreparePageRank(g, 0.85, 40, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		g := graph.RandomConnected(150, 500, seed)
 		graph.RandomWeights(g, seed+100)
-		res, err := SSSP(g, 0, Config{Workers: 3})
+		res, err := PrepareSSSP(g, 0, Config{Workers: 3})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestSSSPDisconnected(t *testing.T) {
 	g.AddEdge(0, 1)
 	// 2 and 3 isolated / pair
 	g.AddEdge(2, 3)
-	res, err := SSSP(g, 0, Config{})
+	res, err := PrepareSSSP(g, 0, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestSSSPQuickAgainstBellmanFord(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.Random(40, 100, seed)
 		graph.RandomWeights(g, seed+1)
-		res, err := SSSP(g, 0, Config{Workers: 2})
+		res, err := PrepareSSSP(g, 0, Config{Workers: 2})()
 		if err != nil {
 			return false
 		}
@@ -142,7 +142,7 @@ func TestHashMinMatchesBFSComponents(t *testing.T) {
 	for name, g := range cases {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			res, err := HashMinCC(g, Config{Workers: 4})
+			res, err := PrepareHashMinCC(g, Config{Workers: 4})()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,7 @@ func TestHashMinSuperstepsTrackDiameter(t *testing.T) {
 	// On a path graph Hash-Min needs Θ(n) supersteps: the paper's
 	// witness that the algorithm is not BPPA.
 	g := graph.Path(64)
-	res, err := HashMinCC(g, Config{})
+	res, err := PrepareHashMinCC(g, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestHashMinSuperstepsTrackDiameter(t *testing.T) {
 func TestHashMinQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.Random(60, 80, seed)
-		res, err := HashMinCC(g, Config{Workers: 2})
+		res, err := PrepareHashMinCC(g, Config{Workers: 2})()
 		if err != nil {
 			return false
 		}

@@ -229,7 +229,7 @@ func BCC(g *graph.Graph, cfg Config) (*BCCResult, error) {
 		}
 	}
 
-	cc, err := HashMinCC(aux, cfg)
+	cc, err := PrepareHashMinCC(aux, cfg)()
 	if err != nil {
 		return nil, err
 	}

@@ -281,7 +281,7 @@ func TestCrashRecoveryMatchesCleanRun(t *testing.T) {
 			}{res.Ecc, res.Diameter, res.Dist}, res.Stats, nil
 		}},
 		{name: "kcore", run: func(cfg Config) (any, *bsp.Stats, error) {
-			res, err := KCore(graph.Random(80, 200, 5), cfg)
+			res, err := PrepareKCore(graph.Random(80, 200, 5), cfg)()
 			if err != nil {
 				return nil, nil, err
 			}

@@ -140,6 +140,12 @@ type colPackedSnap struct {
 	phase, c             int
 }
 
+// SizeBytes lets checkpoint frames count the cloned stores (see
+// runtime.ColumnFrame.Bytes).
+func (s colPackedSnap) SizeBytes() int {
+	return s.color.SizeBytes() + s.tent.SizeBytes() + s.blocked.SizeBytes()
+}
+
 // SnapshotState/RestoreState implement runtime.StateSnapshotter.
 // Unlike the dense program (whose master counters survive a rollback
 // unrestored), the packed variant checkpoints phase and color too, so

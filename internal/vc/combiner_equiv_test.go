@@ -41,11 +41,11 @@ func TestCombinerEquivalenceSSSP(t *testing.T) {
 	graph.RandomWeights(g, 7)
 	for _, tc := range equivCases {
 		t.Run(tc.name, func(t *testing.T) {
-			with, err := SSSP(g, 0, Config{Workers: tc.workers, Partition: tc.part})
+			with, err := PrepareSSSP(g, 0, Config{Workers: tc.workers, Partition: tc.part})()
 			if err != nil {
 				t.Fatal(err)
 			}
-			without, err := SSSP(g, 0, Config{Workers: tc.workers, Partition: tc.part, NoCombiner: true})
+			without, err := PrepareSSSP(g, 0, Config{Workers: tc.workers, Partition: tc.part, NoCombiner: true})()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -71,11 +71,11 @@ func TestCombinerEquivalenceHashMin(t *testing.T) {
 	g := graph.WattsStrogatz(400, 2, 0.1, 9)
 	for _, tc := range equivCases {
 		t.Run(tc.name, func(t *testing.T) {
-			with, err := HashMinCC(g, Config{Workers: tc.workers, Partition: tc.part, Mode: runtime.DirectionPush})
+			with, err := PrepareHashMinCC(g, Config{Workers: tc.workers, Partition: tc.part, Mode: runtime.DirectionPush})()
 			if err != nil {
 				t.Fatal(err)
 			}
-			without, err := HashMinCC(g, Config{Workers: tc.workers, Partition: tc.part, NoCombiner: true, Mode: runtime.DirectionPush})
+			without, err := PrepareHashMinCC(g, Config{Workers: tc.workers, Partition: tc.part, NoCombiner: true, Mode: runtime.DirectionPush})()
 			if err != nil {
 				t.Fatal(err)
 			}

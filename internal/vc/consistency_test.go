@@ -15,7 +15,7 @@ import (
 func TestHashMinAndSVAgree(t *testing.T) {
 	for _, seed := range []int64{1, 4, 9} {
 		g := graph.Random(250, 300, seed)
-		a, err := HashMinCC(g, Config{Workers: 4})
+		a, err := PrepareHashMinCC(g, Config{Workers: 4})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestDiameterConsistentWithSSSPOnUnitWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sssp, err := SSSP(g, 0, Config{})
+	sssp, err := PrepareSSSP(g, 0, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,11 @@ func TestEulerTourFeedsTraversal(t *testing.T) {
 
 func TestAlgorithmsSurviveInjectedFailure(t *testing.T) {
 	g := graph.Path(128)
-	clean, err := HashMinCC(g, Config{Workers: 3})
+	clean, err := PrepareHashMinCC(g, Config{Workers: 3})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := HashMinCC(g, Config{Workers: 3, RunEnv: rt.RunEnv{CheckpointEvery: 16, Faults: rt.PlanOf(rt.Crash(40))}})
+	recovered, err := PrepareHashMinCC(g, Config{Workers: 3, RunEnv: rt.RunEnv{CheckpointEvery: 16, Faults: rt.PlanOf(rt.Crash(40))}})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +212,11 @@ func TestSVSurvivesInjectedFailureWithMasterState(t *testing.T) {
 	// master) recovers exactly.
 	g := graph.Grid(12, 12)
 	graph.RandomWeights(g, 3)
-	clean, err := SSSP(g, 0, Config{Workers: 2})
+	clean, err := PrepareSSSP(g, 0, Config{Workers: 2})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := SSSP(g, 0, Config{Workers: 2, RunEnv: rt.RunEnv{CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(20))}})
+	rec, err := PrepareSSSP(g, 0, Config{Workers: 2, RunEnv: rt.RunEnv{CheckpointEvery: 8, Faults: rt.PlanOf(rt.Crash(20))}})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSVSurvivesInjectedFailureWithMasterState(t *testing.T) {
 
 func TestSuperstepCapSurfacesAsError(t *testing.T) {
 	g := graph.Path(512)
-	if _, err := HashMinCC(g, Config{MaxSupersteps: 10}); err == nil {
+	if _, err := PrepareHashMinCC(g, Config{MaxSupersteps: 10})(); err == nil {
 		t.Fatal("expected superstep-cap error")
 	}
 	if _, err := Diameter(graph.Path(64), Config{MaxSupersteps: 5}); err == nil {
@@ -303,11 +303,11 @@ func TestWorkerInvarianceAcrossAlgorithms(t *testing.T) {
 		}
 	})
 	t.Run("kcore", func(t *testing.T) {
-		a, err := KCore(und, Config{Workers: 1})
+		a, err := PrepareKCore(und, Config{Workers: 1})()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := KCore(und, Config{Workers: 8})
+		b, err := PrepareKCore(und, Config{Workers: 8})()
 		if err != nil {
 			t.Fatal(err)
 		}

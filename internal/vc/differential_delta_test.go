@@ -205,7 +205,7 @@ func TestDeltaDifferentialConnectedComponents(t *testing.T) {
 			cells = append(cells, deltaCell{
 				name: fmt.Sprintf("pregel/%s/w%d", p.name, w),
 				run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := HashMinCC(g, Config{Workers: w, Partition: part, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+					res, err := PrepareHashMinCC(g, Config{Workers: w, Partition: part, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 					if err != nil {
 						return nil, nil, err
 					}
@@ -219,7 +219,7 @@ func TestDeltaDifferentialConnectedComponents(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("gas/w%d", w),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				labels, res, err := gas.ConnectedComponents(g, gas.Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+				labels, res, err := gas.PrepareConnectedComponents(g, gas.Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -230,7 +230,7 @@ func TestDeltaDifferentialConnectedComponents(t *testing.T) {
 	cells = append(cells, deltaCell{
 		name: "async", epochSaves: true,
 		run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-			labels, res, err := async.ConnectedComponents(g, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+			labels, res, err := async.PrepareConnectedComponents(g, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -242,7 +242,7 @@ func TestDeltaDifferentialConnectedComponents(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+				res, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -263,7 +263,7 @@ func TestDeltaDifferentialSSSP(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("pregel/w%d", w),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := SSSP(g, src, Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+				res, err := PrepareSSSP(g, src, Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -273,7 +273,7 @@ func TestDeltaDifferentialSSSP(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("gas/w%d", w),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				dist, res, err := gas.SSSP(g, src, gas.Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+				dist, res, err := gas.PrepareSSSP(g, src, gas.Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -284,7 +284,7 @@ func TestDeltaDifferentialSSSP(t *testing.T) {
 	cells = append(cells, deltaCell{
 		name: "async", epochSaves: true,
 		run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-			dist, res, err := async.SSSP(g, src, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+			dist, res, err := async.PrepareSSSP(g, src, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -296,7 +296,7 @@ func TestDeltaDifferentialSSSP(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+				res, err := blockcentric.PrepareSSSP(g, src, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -316,7 +316,7 @@ func TestDeltaDifferentialPageRank(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("pregel/w%d", w),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := PageRank(g, alpha, k, Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+				res, err := PreparePageRank(g, alpha, k, Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -328,7 +328,7 @@ func TestDeltaDifferentialPageRank(t *testing.T) {
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 				// Push pinned for the same reason as differential_test.go:
 				// the transit-fault events must find batches to drop.
-				ranks, res, err := gas.PageRank(g, alpha, 1e-10, gas.Config{Workers: w, Mode: rt.DirectionPush, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+				ranks, res, err := gas.PreparePageRank(g, alpha, 1e-10, gas.Config{Workers: w, Mode: rt.DirectionPush, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -339,7 +339,7 @@ func TestDeltaDifferentialPageRank(t *testing.T) {
 	cells = append(cells, deltaCell{
 		name: "async", epochSaves: true,
 		run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-			ranks, res, err := async.PageRank(g, alpha, 1e-10, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+			ranks, res, err := async.PreparePageRank(g, alpha, 1e-10, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -351,7 +351,7 @@ func TestDeltaDifferentialPageRank(t *testing.T) {
 		cells = append(cells, deltaCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck, fullEvery int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.PageRank(g, alpha, k, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})
+				res, err := blockcentric.PreparePageRank(g, alpha, k, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, FullSnapshotEvery: fullEvery, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}

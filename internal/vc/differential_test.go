@@ -172,7 +172,7 @@ func TestDifferentialConnectedComponents(t *testing.T) {
 			cells = append(cells, engineCell{
 				name: fmt.Sprintf("pregel/%s/w%d", p.name, w),
 				run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := HashMinCC(g, Config{Workers: w, Partition: part, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+					res, err := PrepareHashMinCC(g, Config{Workers: w, Partition: part, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 					if err != nil {
 						return nil, nil, err
 					}
@@ -186,7 +186,7 @@ func TestDifferentialConnectedComponents(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("gas/w%d", w),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				labels, res, err := gas.ConnectedComponents(g, gas.Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+				labels, res, err := gas.PrepareConnectedComponents(g, gas.Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -197,7 +197,7 @@ func TestDifferentialConnectedComponents(t *testing.T) {
 	cells = append(cells, engineCell{
 		name: "async", epochSaves: true,
 		run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-			labels, res, err := async.ConnectedComponents(g, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+			labels, res, err := async.PrepareConnectedComponents(g, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -209,7 +209,7 @@ func TestDifferentialConnectedComponents(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+				res, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -238,7 +238,7 @@ func TestDifferentialSSSP(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("pregel/w%d", w),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := SSSP(g, src, Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+				res, err := PrepareSSSP(g, src, Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -248,7 +248,7 @@ func TestDifferentialSSSP(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("gas/w%d", w),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				dist, res, err := gas.SSSP(g, src, gas.Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+				dist, res, err := gas.PrepareSSSP(g, src, gas.Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -259,7 +259,7 @@ func TestDifferentialSSSP(t *testing.T) {
 	cells = append(cells, engineCell{
 		name: "async", epochSaves: true,
 		run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-			dist, res, err := async.SSSP(g, src, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+			dist, res, err := async.PrepareSSSP(g, src, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -271,7 +271,7 @@ func TestDifferentialSSSP(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+				res, err := blockcentric.PrepareSSSP(g, src, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -301,7 +301,7 @@ func TestDifferentialPageRank(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("pregel/w%d", w),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := PageRank(g, alpha, k, Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+				res, err := PreparePageRank(g, alpha, k, Config{Workers: w, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -317,7 +317,7 @@ func TestDifferentialPageRank(t *testing.T) {
 				// pull every one of them, leaving no batch in transit
 				// to drop. Pull-mode fault replay is covered in
 				// direction_test.go.
-				ranks, res, err := gas.PageRank(g, alpha, 1e-10, gas.Config{Workers: w, Mode: rt.DirectionPush, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+				ranks, res, err := gas.PreparePageRank(g, alpha, 1e-10, gas.Config{Workers: w, Mode: rt.DirectionPush, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}
@@ -328,7 +328,7 @@ func TestDifferentialPageRank(t *testing.T) {
 	cells = append(cells, engineCell{
 		name: "async", epochSaves: true,
 		run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-			ranks, res, err := async.PageRank(g, alpha, 1e-10, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+			ranks, res, err := async.PreparePageRank(g, alpha, 1e-10, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -340,7 +340,7 @@ func TestDifferentialPageRank(t *testing.T) {
 		cells = append(cells, engineCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			run: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				res, err := blockcentric.PageRank(g, alpha, k, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+				res, err := blockcentric.PreparePageRank(g, alpha, k, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 				if err != nil {
 					return nil, nil, err
 				}

@@ -70,7 +70,7 @@ func TestDirectionEquivalencePageRank(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var base *PageRankResult
 			for _, dm := range directionModes {
-				res, err := PageRank(g, 0.85, 20, Config{Workers: tc.workers, Partition: tc.part, Mode: dm.mode})
+				res, err := PreparePageRank(g, 0.85, 20, Config{Workers: tc.workers, Partition: tc.part, Mode: dm.mode})()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -101,7 +101,7 @@ func TestDirectionEquivalenceHashMin(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var base *CCResult
 			for _, dm := range directionModes {
-				res, err := HashMinCC(g, Config{Workers: tc.workers, Partition: tc.part, Mode: dm.mode})
+				res, err := PrepareHashMinCC(g, Config{Workers: tc.workers, Partition: tc.part, Mode: dm.mode})()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,17 +150,17 @@ func TestDirectionEquivalenceDoubleSweep(t *testing.T) {
 // re-picks the same direction deterministically.
 func TestDirectionEquivalenceUnderFaults(t *testing.T) {
 	g := graph.PreferentialAttachment(600, 3, 7)
-	clean, err := PageRank(g, 0.85, 20, Config{Workers: 4, Mode: runtime.DirectionPush})
+	clean, err := PreparePageRank(g, 0.85, 20, Config{Workers: 4, Mode: runtime.DirectionPush})()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dm := range directionModes {
 		t.Run(dm.name, func(t *testing.T) {
-			res, err := PageRank(g, 0.85, 20, Config{
+			res, err := PreparePageRank(g, 0.85, 20, Config{
 				Workers: 4,
 				Mode:    dm.mode,
 				RunEnv:  runtime.RunEnv{CheckpointEvery: 2, Faults: runtime.PlanOf(runtime.Crash(5))},
-			})
+			})()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,11 +183,11 @@ func TestDirectionEquivalenceUnderFaults(t *testing.T) {
 // identity and cannot be combined.
 func TestDirectionPushPinsWithoutCombiner(t *testing.T) {
 	g := graph.PreferentialAttachment(400, 3, 13)
-	base, err := KCore(g, Config{Workers: 4, Mode: runtime.DirectionPush})
+	base, err := PrepareKCore(g, Config{Workers: 4, Mode: runtime.DirectionPush})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := KCore(g, Config{Workers: 4, Mode: runtime.DirectionPull})
+	forced, err := PrepareKCore(g, Config{Workers: 4, Mode: runtime.DirectionPull})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestDirectionEquivalenceGas(t *testing.T) {
 	var baseRanks []float64
 	var baseStats *bsp.Stats
 	for _, dm := range directionModes {
-		ranks, res, err := gas.PageRank(g, 0.85, 1e-9, gas.Config{Workers: 4, Mode: dm.mode})
+		ranks, res, err := gas.PreparePageRank(g, 0.85, 1e-9, gas.Config{Workers: 4, Mode: dm.mode})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,11 +240,11 @@ func TestDirectionEquivalenceGas(t *testing.T) {
 func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 	g := graph.WattsStrogatz(600, 2, 0.05, 19)
 	t.Run("cc", func(t *testing.T) {
-		push, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4})
+		push, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: 4})()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pull, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})
+		pull, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,11 +270,11 @@ func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 	})
 	t.Run("sssp", func(t *testing.T) {
 		graph.RandomWeights(g, 23)
-		push, err := blockcentric.SSSP(g, 0, blockcentric.Config{Blocks: 4})
+		push, err := blockcentric.PrepareSSSP(g, 0, blockcentric.Config{Blocks: 4})()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pull, err := blockcentric.SSSP(g, 0, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})
+		pull, err := blockcentric.PrepareSSSP(g, 0, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,11 +291,11 @@ func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 		// PageRank's sum folds local contributions before boundary ones
 		// under pull (push interleaves them by source block), so ranks
 		// are equal up to float regrouping, not bitwise.
-		push, err := blockcentric.PageRank(g, 0.85, 10, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPush})
+		push, err := blockcentric.PreparePageRank(g, 0.85, 10, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPush})()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pull, err := blockcentric.PageRank(g, 0.85, 10, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})
+		pull, err := blockcentric.PreparePageRank(g, 0.85, 10, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,14 +319,14 @@ func TestDirectionEquivalenceBlockcentric(t *testing.T) {
 		// A crash mid-run under block-local pull must recover to the
 		// same labels: inboxLocal is checkpointed with the inboxes, so
 		// the restored barrier state replays identically.
-		clean, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})
+		clean, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: 4, Mode: runtime.DirectionPull})()
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulty, err := blockcentric.ConnectedComponents(g, blockcentric.Config{
+		faulty, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{
 			Blocks: 4, Mode: runtime.DirectionPull,
 			RunEnv: runtime.RunEnv{CheckpointEvery: 2, Faults: runtime.PlanOf(runtime.Crash(3))},
-		})
+		})()
 		if err != nil {
 			t.Fatal(err)
 		}

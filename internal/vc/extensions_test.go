@@ -280,7 +280,7 @@ func TestKCoreOnWattsStrogatzLattice(t *testing.T) {
 	// beta=0 ring lattice with k=2: every vertex has degree 4 and the
 	// graph is 4-regular and 4-connected enough to be a full 4-core.
 	g := graph.WattsStrogatz(64, 2, 0, 2)
-	res, err := KCore(g, Config{})
+	res, err := PrepareKCore(g, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}

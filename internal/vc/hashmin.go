@@ -91,16 +91,11 @@ func (hashMinProgram) FinishSerially(fc *pregel.FinishContext[hashMinValue, Vert
 	return work
 }
 
-// HashMinCC runs the Hash-Min connected components algorithm of the
-// Pregel paper (Table 1 row 3: O(δ) supersteps, O(mδ) work, vs. the
-// O(m+n) BFS baseline).
-func HashMinCC(g *graph.Graph, cfg Config) (*CCResult, error) {
-	return PrepareHashMinCC(g, cfg)()
-}
-
-// PrepareHashMinCC is the job-scoped form of HashMinCC: the engine is
-// constructed (and the snapshot pinned) now, under whatever lock the
-// caller holds; the returned closure runs lock-free.
+// PrepareHashMinCC prepares the Hash-Min connected components
+// algorithm of the Pregel paper (Table 1 row 3: O(δ) supersteps, O(mδ)
+// work, vs. the O(m+n) BFS baseline). The engine is constructed (and
+// the snapshot pinned) now, under whatever lock the caller holds; the
+// returned closure runs lock-free.
 func PrepareHashMinCC(g *graph.Graph, cfg Config) func() (*CCResult, error) {
 	ecfg := engineCfg[VertexID](cfg)
 	if !cfg.NoCombiner {

@@ -37,7 +37,7 @@ func FuzzMutationScript(f *testing.F) {
 			if err != nil {
 				t.Fatalf("incremental CC: %v", err)
 			}
-			labels, _, err := async.ConnectedComponents(g, async.Config{})
+			labels, _, err := async.PrepareConnectedComponents(g, async.Config{})()
 			if err != nil {
 				t.Fatalf("async CC: %v", err)
 			}
@@ -48,18 +48,18 @@ func FuzzMutationScript(f *testing.F) {
 			if err != nil {
 				t.Fatalf("incremental SSSP: %v", err)
 			}
-			dist, _, err := async.SSSP(g, 0, async.Config{})
+			dist, _, err := async.PrepareSSSP(g, 0, async.Config{})()
 			if err != nil {
 				t.Fatalf("async SSSP: %v", err)
 			}
 			if !reflect.DeepEqual(ssSt.Dist, dist) {
 				t.Fatalf("incremental SSSP %v != from-scratch %v", ssSt.Dist, dist)
 			}
-			prSt, _, err = IncrementalPageRank(g, 0.85, k, prSt, IncConfig{})
+			prSt, _, err = PrepareIncrementalPageRank(g, 0.85, k, prSt, IncConfig{})()
 			if err != nil {
 				t.Fatalf("incremental PageRank: %v", err)
 			}
-			scratch, _, err := IncrementalPageRank(g, 0.85, k, nil, IncConfig{})
+			scratch, _, err := PrepareIncrementalPageRank(g, 0.85, k, nil, IncConfig{})()
 			if err != nil {
 				t.Fatalf("cold PageRank: %v", err)
 			}

@@ -24,9 +24,8 @@ type IncPRState struct {
 // Ranks returns the final rank vector (Hist[K]).
 func (s *IncPRState) Ranks() []float64 { return s.Hist[len(s.Hist)-1] }
 
-// IncrementalPageRank computes (or incrementally repairs) a fixed-K
-// power-iteration PageRank. IncrementalPageRank is
-// PrepareIncrementalPageRank(g, alpha, k, prior, cfg)().
+// PrepareIncrementalPageRank computes (or incrementally repairs) a
+// fixed-K power-iteration PageRank.
 //
 // Unlike incremental CC/SSSP — unique fixpoints a worklist drain
 // reaches from any seed superset — PageRank's converged low bits depend
@@ -39,14 +38,11 @@ func (s *IncPRState) Ranks() []float64 { return s.Hist[len(s.Hist)-1] }
 // the change frontier collapses wherever a perturbation rounds away on
 // a high-degree sum, which is where the speedup over recompute comes
 // from.
-func IncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *IncPRState, cfg IncConfig) (*IncPRState, *bsp.Stats, error) {
-	return PrepareIncrementalPageRank(g, alpha, k, prior, cfg)()
-}
-
-// PrepareIncrementalPageRank pins the delta view and performs the
-// dirty-set analysis now; the returned closure runs the supersteps
-// lock-free (under runtime.Driver, so checkpoint/rollback and fault
-// injection work exactly as in the BSP engines) and unpins.
+//
+// The delta view is pinned and the dirty-set analysis done now; the
+// returned closure runs the supersteps lock-free (under runtime.Driver,
+// so checkpoint/rollback and fault injection work exactly as in the BSP
+// engines) and unpins.
 func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *IncPRState, cfg IncConfig) func() (*IncPRState, *bsp.Stats, error) {
 	view := g.PinDelta()
 	n := view.N()
@@ -67,12 +63,11 @@ func PrepareIncrementalPageRank(g *graph.Graph, alpha float64, k int, prior *Inc
 			p.dirty0 = prDirtySet(view, n, muts)
 		}
 	}
-	p.hist = make([][]float64, k+1)
 	r0 := make([]float64, n)
 	for v := range r0 {
 		r0[v] = 1 / float64(n)
 	}
-	p.hist[0] = r0
+	p.hist = [][]float64{r0}
 	p.cur = r0
 	p.mark = make([]bool, n)
 	stats := &bsp.Stats{Workers: 1, N: n}
@@ -169,8 +164,7 @@ func (p *incPRPolicy) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 			ss.Work[0] += edges
 		}
 		ss.Active[0] = int64(p.n)
-		p.hist[step+1] = next
-		p.cur = next
+		p.record(step, next)
 		return p.n, nil
 	}
 	// Candidates: structurally dirty vertices plus out-neighbors of
@@ -210,10 +204,18 @@ func (p *incPRPolicy) Superstep(step int, ss *bsp.SuperstepStats) (int, error) {
 		}
 	}
 	ss.Active[0] = cands
-	p.hist[step+1] = next
-	p.cur = next
+	p.record(step, next)
 	p.changed = newChanged
 	return len(newChanged), nil
+}
+
+// record stores r_{step+1} as hist[step+1]. The history grows one row
+// per superstep rather than being allocated for all K up front, so a
+// large K costs memory only as it runs; a superstep replayed after a
+// rollback replaces its row.
+func (p *incPRPolicy) record(step int, next []float64) {
+	p.hist = append(p.hist[:step+1], next)
+	p.cur = next
 }
 
 // Snapshot implements runtime.Policy: the current rank vector and

@@ -1,17 +1,20 @@
 package vc
 
 import (
+	"context"
 	"errors"
 	"reflect"
+	goruntime "runtime"
 	"testing"
 
 	"vcgraph/internal/async"
 	"vcgraph/internal/graph"
+	rt "vcgraph/internal/runtime"
 )
 
 func asyncCC(t *testing.T, g *graph.Graph) []VertexID {
 	t.Helper()
-	labels, _, err := async.ConnectedComponents(g, async.Config{})
+	labels, _, err := async.PrepareConnectedComponents(g, async.Config{})()
 	if err != nil {
 		t.Fatalf("async CC: %v", err)
 	}
@@ -20,7 +23,7 @@ func asyncCC(t *testing.T, g *graph.Graph) []VertexID {
 
 func asyncSSSP(t *testing.T, g *graph.Graph, src VertexID) []float64 {
 	t.Helper()
-	dist, _, err := async.SSSP(g, src, async.Config{})
+	dist, _, err := async.PrepareSSSP(g, src, async.Config{})()
 	if err != nil {
 		t.Fatalf("async SSSP: %v", err)
 	}
@@ -213,7 +216,7 @@ func TestIncrementalDirectedRejected(t *testing.T) {
 func TestIncrementalPageRankWarmEqualsCold(t *testing.T) {
 	const alpha, k = 0.85, 15
 	g := graph.RandomConnected(48, 120, 11)
-	cold, _, err := IncrementalPageRank(g, alpha, k, nil, IncConfig{})
+	cold, _, err := PrepareIncrementalPageRank(g, alpha, k, nil, IncConfig{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +239,14 @@ func TestIncrementalPageRankWarmEqualsCold(t *testing.T) {
 	}
 	mustMutate(t, g, ins(0, 40, 1), del(du, dv))
 
-	warm, wst, err := IncrementalPageRank(g, alpha, k, cold, IncConfig{})
+	warm, wst, err := PrepareIncrementalPageRank(g, alpha, k, cold, IncConfig{})()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Cold {
 		t.Fatal("expected warm run")
 	}
-	scratch, cst, err := IncrementalPageRank(g, alpha, k, nil, IncConfig{})
+	scratch, cst, err := PrepareIncrementalPageRank(g, alpha, k, nil, IncConfig{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +258,30 @@ func TestIncrementalPageRankWarmEqualsCold(t *testing.T) {
 	}
 }
 
+// TestIncrementalPageRankPrepareAllocatesNoHistory: the rank history
+// grows one row per superstep, so preparing a run with a huge K costs
+// no memory up front (a K-sized row table would be 100 MB here).
+func TestIncrementalPageRankPrepareAllocatesNoHistory(t *testing.T) {
+	g := graph.Path(8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	run := PrepareIncrementalPageRank(g, 0.85, 1<<22, nil, IncConfig{RunEnv: rt.RunEnv{Ctx: ctx}})
+	goruntime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("prepare allocated %d bytes", grew)
+	}
+	if _, _, err := run(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: err = %v", err)
+	}
+}
+
 // TestIncrementalPageRankParamMismatch: changed alpha or K invalidates
 // the memoized history.
 func TestIncrementalPageRankParamMismatch(t *testing.T) {
 	g := graph.RandomConnected(20, 40, 13)
-	st, _, err := IncrementalPageRank(g, 0.85, 10, nil, IncConfig{})
+	st, _, err := PrepareIncrementalPageRank(g, 0.85, 10, nil, IncConfig{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +291,7 @@ func TestIncrementalPageRankParamMismatch(t *testing.T) {
 		alpha float64
 		k     int
 	}{{"alpha", 0.9, 10}, {"k", 0.85, 12}} {
-		got, _, err := IncrementalPageRank(g, tc.alpha, tc.k, st, IncConfig{})
+		got, _, err := PrepareIncrementalPageRank(g, tc.alpha, tc.k, st, IncConfig{})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,19 +309,19 @@ func TestIncrementalPageRankDirected(t *testing.T) {
 	for _, e := range [][2]VertexID{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}, {6, 0}, {7, 6}, {3, 7}} {
 		g.AddEdge(e[0], e[1])
 	}
-	cold, _, err := IncrementalPageRank(g, alpha, k, nil, IncConfig{})
+	cold, _, err := PrepareIncrementalPageRank(g, alpha, k, nil, IncConfig{})()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustMutate(t, g, ins(1, 5, 1), del(2, 3))
-	warm, _, err := IncrementalPageRank(g, alpha, k, cold, IncConfig{})
+	warm, _, err := PrepareIncrementalPageRank(g, alpha, k, cold, IncConfig{})()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Cold {
 		t.Fatal("expected warm run")
 	}
-	scratch, _, err := IncrementalPageRank(g, alpha, k, nil, IncConfig{})
+	scratch, _, err := PrepareIncrementalPageRank(g, alpha, k, nil, IncConfig{})()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,14 +86,10 @@ func (kcoreProgram) Compute(ctx *pregel.Context[kcoreValue, kcoreMsg], msgs []kc
 
 func (kcoreProgram) StateUnits(v *kcoreValue) int64 { return int64(1 + len(v.nbrEst)) }
 
-// KCore computes the coreness of every vertex of an undirected graph.
-func KCore(g *graph.Graph, cfg Config) (*KCoreResult, error) {
-	return PrepareKCore(g, cfg)()
-}
-
-// PrepareKCore is the job-scoped form of KCore: the engine is
-// constructed (and the snapshot pinned) now, under whatever lock the
-// caller holds; the returned closure runs lock-free.
+// PrepareKCore prepares the coreness computation for every vertex of
+// an undirected graph. The engine is constructed (and the snapshot
+// pinned) now, under whatever lock the caller holds; the returned
+// closure runs lock-free.
 func PrepareKCore(g *graph.Graph, cfg Config) func() (*KCoreResult, error) {
 	if cfg.PackedState {
 		prog := newKCorePackedProgram(g)

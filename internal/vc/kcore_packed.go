@@ -131,6 +131,10 @@ type kcorePackedSnap struct {
 	slots StateStore
 }
 
+// SizeBytes lets checkpoint frames count the cloned stores (see
+// runtime.ColumnFrame.Bytes).
+func (s kcorePackedSnap) SizeBytes() int { return s.est.SizeBytes() + s.slots.SizeBytes() }
+
 // SnapshotState/RestoreState implement runtime.StateSnapshotter (the
 // dense program carries its state in the value array and rides the
 // engine's CloneValue path instead). RestoreState(nil) resets to the

@@ -66,7 +66,7 @@ func TestKCoreKnownShapes(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := KCore(tc.g, Config{Workers: 3})
+			res, err := PrepareKCore(tc.g, Config{Workers: 3})()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestKCoreKnownShapes(t *testing.T) {
 func TestKCoreMatchesMatulaBeck(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.Random(60, 180, seed)
-		res, err := KCore(g, Config{Workers: 4})
+		res, err := PrepareKCore(g, Config{Workers: 4})()
 		if err != nil {
 			return false
 		}
@@ -129,7 +129,7 @@ func TestKCoreCliquePlusTail(t *testing.T) {
 	g.AddEdge(4, 5)
 	g.AddEdge(5, 6)
 	g.AddEdge(6, 7)
-	res, err := KCore(g, Config{})
+	res, err := PrepareKCore(g, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestKCoreCliquePlusTail(t *testing.T) {
 }
 
 func TestKCoreEmptyAndSingleton(t *testing.T) {
-	res, err := KCore(graph.New(3, false), Config{})
+	res, err := PrepareKCore(graph.New(3, false), Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}

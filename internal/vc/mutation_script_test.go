@@ -142,14 +142,14 @@ func scratchMatrix() []scratchCell {
 			cells = append(cells, scratchCell{
 				name: fmt.Sprintf("pregel/%s/w%d", p.name, w),
 				cc: func(g *graph.Graph) ([]VertexID, error) {
-					res, err := HashMinCC(g, Config{Workers: w, Partition: part})
+					res, err := PrepareHashMinCC(g, Config{Workers: w, Partition: part})()
 					if err != nil {
 						return nil, err
 					}
 					return res.Color, nil
 				},
 				sssp: func(g *graph.Graph, src VertexID) ([]float64, error) {
-					res, err := SSSP(g, src, Config{Workers: w, Partition: part})
+					res, err := PrepareSSSP(g, src, Config{Workers: w, Partition: part})()
 					if err != nil {
 						return nil, err
 					}
@@ -163,11 +163,11 @@ func scratchMatrix() []scratchCell {
 		cells = append(cells, scratchCell{
 			name: fmt.Sprintf("gas/w%d", w),
 			cc: func(g *graph.Graph) ([]VertexID, error) {
-				labels, _, err := gas.ConnectedComponents(g, gas.Config{Workers: w})
+				labels, _, err := gas.PrepareConnectedComponents(g, gas.Config{Workers: w})()
 				return labels, err
 			},
 			sssp: func(g *graph.Graph, src VertexID) ([]float64, error) {
-				dist, _, err := gas.SSSP(g, src, gas.Config{Workers: w})
+				dist, _, err := gas.PrepareSSSP(g, src, gas.Config{Workers: w})()
 				return dist, err
 			},
 		})
@@ -175,11 +175,11 @@ func scratchMatrix() []scratchCell {
 	cells = append(cells, scratchCell{
 		name: "async", exact: true,
 		cc: func(g *graph.Graph) ([]VertexID, error) {
-			labels, _, err := async.ConnectedComponents(g, async.Config{})
+			labels, _, err := async.PrepareConnectedComponents(g, async.Config{})()
 			return labels, err
 		},
 		sssp: func(g *graph.Graph, src VertexID) ([]float64, error) {
-			dist, _, err := async.SSSP(g, src, async.Config{})
+			dist, _, err := async.PrepareSSSP(g, src, async.Config{})()
 			return dist, err
 		},
 	})
@@ -188,14 +188,14 @@ func scratchMatrix() []scratchCell {
 		cells = append(cells, scratchCell{
 			name: fmt.Sprintf("blockcentric/b%d", b),
 			cc: func(g *graph.Graph) ([]VertexID, error) {
-				res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b})
+				res, err := blockcentric.PrepareConnectedComponents(g, blockcentric.Config{Blocks: b})()
 				if err != nil {
 					return nil, err
 				}
 				return res.Color, nil
 			},
 			sssp: func(g *graph.Graph, src VertexID) ([]float64, error) {
-				res, err := blockcentric.SSSP(g, src, blockcentric.Config{Blocks: b})
+				res, err := blockcentric.PrepareSSSP(g, src, blockcentric.Config{Blocks: b})()
 				if err != nil {
 					return nil, err
 				}
@@ -256,7 +256,7 @@ func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wa
 	if err != nil {
 		t.Fatalf("incremental SSSP: %v", err)
 	}
-	pr, _, err := IncrementalPageRank(g, scriptAlpha, scriptK, st.pr, cfg)
+	pr, _, err := PrepareIncrementalPageRank(g, scriptAlpha, scriptK, st.pr, cfg)()
 	if err != nil {
 		t.Fatalf("incremental PageRank: %v", err)
 	}
@@ -287,7 +287,7 @@ func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wa
 	}
 
 	// PageRank byte-identity baseline: the canonical cold recompute.
-	scratch, _, err := IncrementalPageRank(g, scriptAlpha, scriptK, nil, cfg)
+	scratch, _, err := PrepareIncrementalPageRank(g, scriptAlpha, scriptK, nil, cfg)()
 	if err != nil {
 		t.Fatalf("cold PageRank: %v", err)
 	}
@@ -298,7 +298,7 @@ func (st *incStates) query(t *testing.T, g *graph.Graph, cells []scratchCell, wa
 		t.Fatalf("PageRank verdict %q != %q", iv, sv)
 	}
 	// Cross-engine tolerance check (summation order differs).
-	res, err := PageRank(g, scriptAlpha, scriptK, Config{Workers: 2})
+	res, err := PreparePageRank(g, scriptAlpha, scriptK, Config{Workers: 2})()
 	if err != nil {
 		t.Fatalf("pregel PageRank: %v", err)
 	}
@@ -402,7 +402,7 @@ func TestMutationScriptFaults(t *testing.T) {
 						if !reflect.DeepEqual(ss.Dist, st.sssp.Dist) {
 							t.Fatal("faulted incremental SSSP differs from fault-free run")
 						}
-						pr, _, err := IncrementalPageRank(rig.g, scriptAlpha, scriptK, prior.pr, cfg)
+						pr, _, err := PrepareIncrementalPageRank(rig.g, scriptAlpha, scriptK, prior.pr, cfg)()
 						if err != nil {
 							t.Fatalf("faulted PageRank: %v", err)
 						}
@@ -431,14 +431,14 @@ func TestMutationScriptFaultsFire(t *testing.T) {
 	if got := asyncCC(t, g); !reflect.DeepEqual(st.Labels, got) {
 		t.Fatal("recovered cold CC differs from from-scratch run")
 	}
-	pr, prStats, err := IncrementalPageRank(g, 0.85, 10, nil, IncConfig{RunEnv: rt.RunEnv{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(3))}})
+	pr, prStats, err := PrepareIncrementalPageRank(g, 0.85, 10, nil, IncConfig{RunEnv: rt.RunEnv{CheckpointEvery: 1, Faults: rt.PlanOf(rt.Crash(3))}})()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prStats.Recovery.Rollbacks == 0 {
 		t.Fatalf("PageRank crash plan fired no rollback: %+v", prStats.Recovery)
 	}
-	scratch, _, err := IncrementalPageRank(g, 0.85, 10, nil, IncConfig{})
+	scratch, _, err := PrepareIncrementalPageRank(g, 0.85, 10, nil, IncConfig{})()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"vcgraph/internal/async"
-	"vcgraph/internal/blockcentric"
 	"vcgraph/internal/bsp"
-	"vcgraph/internal/gas"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/pregel"
 	rt "vcgraph/internal/runtime"
@@ -17,7 +14,7 @@ import (
 // Packed-state differential suite: every algorithm with a bit-packed
 // variant (PackedState) must produce runs byte-identical to its dense
 // twin — same outputs AND same per-superstep cost records — across
-// engines, partitioners, direction modes, and fault plans, on both
+// partitioners, direction modes, and fault plans, on both
 // flat (int32) and varint-delta-packed CSR snapshots. Byte-packing
 // state or edges is a representation change only; any observable
 // difference is a bug.
@@ -25,31 +22,9 @@ import (
 // packedCell pairs a dense run with its packed-state twin under one
 // engine × configuration.
 type packedCell struct {
-	name       string
-	epochSaves bool
-	// looseWork marks engines whose Work counters depend on map
-	// iteration order run-to-run (the block-centric local BFS rescans),
-	// where only the order-independent superstep fields can be compared.
-	looseWork bool
-	// noLanes marks cells that move no message batches over lanes (the
-	// GAS pull path gathers neighbor state directly), where lane fault
-	// events can never fire: output identity is still asserted but the
-	// recovery counters are not.
-	noLanes bool
-	dense   func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
-	packed  func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
-}
-
-// stripWork zeroes the order-dependent fields of a superstep record.
-func stripWork(ss []bsp.SuperstepStats) []bsp.SuperstepStats {
-	out := make([]bsp.SuperstepStats, len(ss))
-	for i, s := range ss {
-		s.Work = nil
-		s.MaxWork = 0
-		s.Cost = 0
-		out[i] = s
-	}
-	return out
+	name   string
+	dense  func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
+	packed func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error)
 }
 
 // runPackedDifferential holds each cell's packed variant to its dense
@@ -71,9 +46,6 @@ func runPackedDifferential(t *testing.T, cells []packedCell) {
 				t.Fatalf("packed values differ from dense")
 			}
 			ds, ps := dstats.Supersteps, pstats.Supersteps
-			if cell.looseWork {
-				ds, ps = stripWork(ds), stripWork(ps)
-			}
 			if !reflect.DeepEqual(ds, ps) {
 				t.Fatalf("packed superstep records differ from dense:\ndense:  %+v\npacked: %+v", ds, ps)
 			}
@@ -84,15 +56,12 @@ func runPackedDifferential(t *testing.T, cells []packedCell) {
 			for _, fc := range faultCases() {
 				fc := fc
 				t.Run(fc.name, func(t *testing.T) {
-					got, st, err := cell.packed(fc.ck, fc.plan(engineCell{epochSaves: cell.epochSaves}))
+					got, st, err := cell.packed(fc.ck, fc.plan(engineCell{}))
 					if err != nil {
 						t.Fatalf("faulted packed run: %v", err)
 					}
 					if !reflect.DeepEqual(got, base) {
 						t.Fatalf("faulted packed output differs from dense baseline\nrecovery: %+v", st.Recovery)
-					}
-					if cell.noLanes && (fc.name == "drop-lane" || fc.name == "dup-lane") {
-						return
 					}
 					fc.check(t, st.Recovery)
 				})
@@ -140,7 +109,7 @@ func TestPackedStateCCDifferential(t *testing.T) {
 				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 					c := cfg
 					c.CheckpointEvery, c.Faults = ck, plan
-					res, err := HashMinCC(g, c)
+					res, err := PrepareHashMinCC(g, c)()
 					if err != nil {
 						return nil, nil, err
 					}
@@ -149,7 +118,7 @@ func TestPackedStateCCDifferential(t *testing.T) {
 				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
 					c := cfg
 					c.CheckpointEvery, c.Faults, c.PackedState = ck, plan, true
-					res, err := HashMinCC(g, c)
+					res, err := PrepareHashMinCC(g, c)()
 					if err != nil {
 						return nil, nil, err
 					}
@@ -171,77 +140,6 @@ func TestPackedStateCCDifferential(t *testing.T) {
 			ccCell("pregel/nocombiner", Config{Workers: 3, NoCombiner: true}),
 			ccCell("pregel/fcs", Config{Workers: 3, FCS: 40}),
 		)
-
-		gasCell := func(name string, cfg gas.Config) packedCell {
-			return packedCell{
-				name:    name,
-				noLanes: cfg.Mode == rt.DirectionPull,
-				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					c := cfg
-					c.CheckpointEvery, c.Faults = ck, plan
-					labels, res, err := gas.ConnectedComponents(g, c)
-					if err != nil {
-						return nil, nil, err
-					}
-					return labels, res.Stats, nil
-				},
-				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					c := cfg
-					c.CheckpointEvery, c.Faults, c.PackedState = ck, plan, true
-					labels, res, err := gas.ConnectedComponents(g, c)
-					if err != nil {
-						return nil, nil, err
-					}
-					return labels, res.Stats, nil
-				},
-			}
-		}
-		for _, w := range []int{1, 3} {
-			cells = append(cells, gasCell(fmt.Sprintf("gas/w%d", w), gas.Config{Workers: w}))
-		}
-		cells = append(cells,
-			gasCell("gas/push", gas.Config{Workers: 3, Mode: rt.DirectionPush}),
-			gasCell("gas/pull", gas.Config{Workers: 3, Mode: rt.DirectionPull}),
-		)
-
-		cells = append(cells, packedCell{
-			name: "async", epochSaves: true,
-			dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				labels, res, err := async.ConnectedComponents(g, async.Config{RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
-				if err != nil {
-					return nil, nil, err
-				}
-				return labels, res.Stats, nil
-			},
-			packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-				labels, res, err := async.ConnectedComponents(g, async.Config{PackedState: true, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
-				if err != nil {
-					return nil, nil, err
-				}
-				return labels, res.Stats, nil
-			},
-		})
-
-		for _, b := range []int{2, 3} {
-			b := b
-			cells = append(cells, packedCell{
-				name: fmt.Sprintf("blockcentric/b%d", b), looseWork: true,
-				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
-					if err != nil {
-						return nil, nil, err
-					}
-					return res.Color, res.Stats, nil
-				},
-				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := blockcentric.ConnectedComponents(g, blockcentric.Config{Blocks: b, PackedState: true, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
-					if err != nil {
-						return nil, nil, err
-					}
-					return res.Color, res.Stats, nil
-				},
-			})
-		}
 
 		t.Run(enc.name, func(t *testing.T) { runPackedDifferential(t, cells) })
 	}
@@ -266,14 +164,14 @@ func TestPackedStateKCoreDifferential(t *testing.T) {
 			runPackedDifferential(t, []packedCell{{
 				name: gr.name + "/" + encName,
 				dense: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := KCore(g, Config{Workers: 3, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+					res, err := PrepareKCore(g, Config{Workers: 3, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 					if err != nil {
 						return nil, nil, err
 					}
 					return res.Core, res.Stats, nil
 				},
 				packed: func(ck int, plan *rt.FaultPlan) (any, *bsp.Stats, error) {
-					res, err := KCore(g, Config{Workers: 3, PackedState: true, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})
+					res, err := PrepareKCore(g, Config{Workers: 3, PackedState: true, RunEnv: rt.RunEnv{CheckpointEvery: ck, Faults: plan}})()
 					if err != nil {
 						return nil, nil, err
 					}
@@ -352,11 +250,11 @@ func TestMutationScriptPackedBase(t *testing.T) {
 				if !reflect.DeepEqual(ssF.Dist, ssP.Dist) {
 					t.Fatal("incremental SSSP over packed base differs")
 				}
-				prF, _, err := IncrementalPageRank(rig.g, scriptAlpha, scriptK, flat.pr, IncConfig{})
+				prF, _, err := PrepareIncrementalPageRank(rig.g, scriptAlpha, scriptK, flat.pr, IncConfig{})()
 				if err != nil {
 					t.Fatalf("flat incremental PageRank: %v", err)
 				}
-				prP, _, err := IncrementalPageRank(twin, scriptAlpha, scriptK, packed.pr, IncConfig{})
+				prP, _, err := PrepareIncrementalPageRank(twin, scriptAlpha, scriptK, packed.pr, IncConfig{})()
 				if err != nil {
 					t.Fatalf("packed incremental PageRank: %v", err)
 				}
@@ -369,11 +267,11 @@ func TestMutationScriptPackedBase(t *testing.T) {
 				// From-scratch engine run combining every axis: flat
 				// graph + dense state vs compressed mutated base +
 				// bit-packed state.
-				dres, err := HashMinCC(rig.g, Config{Workers: 3})
+				dres, err := PrepareHashMinCC(rig.g, Config{Workers: 3})()
 				if err != nil {
 					t.Fatalf("dense HashMinCC: %v", err)
 				}
-				pres, err := HashMinCC(twin, Config{Workers: 3, PackedState: true})
+				pres, err := PrepareHashMinCC(twin, Config{Workers: 3, PackedState: true})()
 				if err != nil {
 					t.Fatalf("packed HashMinCC: %v", err)
 				}
@@ -440,6 +338,45 @@ func TestPackedStateColoringDifferential(t *testing.T) {
 					})
 				}
 			})
+		}
+	}
+}
+
+// TestPackedStateCheckpointBytesCountState: every packed program clones
+// its stores into each checkpoint frame, delta frames included, so the
+// frame bytes must count them. Hash-Min's packed and dense runs save
+// the same full frames, except that packed ones carry the label store
+// where dense ones carry the hashMinValue array; the full-frame byte
+// totals must differ by exactly that. (runtime's
+// TestColumnFrameBytesCountsSizedState covers delta frames.)
+func TestPackedStateCheckpointBytesCountState(t *testing.T) {
+	g := graph.Grid(12, 12)
+	n := int64(g.N())
+	run := func(packed bool) *bsp.Stats {
+		res, err := PrepareHashMinCC(g, Config{Workers: 3, PackedState: packed,
+			RunEnv: rt.RunEnv{CheckpointEvery: 1, FullSnapshotEvery: 4}})()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	dense, packed := run(false).Recovery, run(true).Recovery
+	full := int64(dense.CheckpointsSaved - dense.DeltaCheckpointsSaved)
+	delta := int64(dense.DeltaCheckpointsSaved)
+	if full == 0 || delta == 0 || packed.CheckpointsSaved != dense.CheckpointsSaved {
+		t.Fatalf("frames: dense %+v, packed %+v", dense, packed)
+	}
+	store := int64(newHashMinPackedProgram(g.N(), nil).labels.SizeBytes())
+	if want := dense.CheckpointBytesFull - full*n*rt.SizeOf[hashMinValue]() + full*store; packed.CheckpointBytesFull != want {
+		t.Fatalf("packed full-frame bytes = %d, want %d", packed.CheckpointBytesFull, want)
+	}
+
+	for name, snap := range map[string]any{
+		"kcore":    newKCorePackedProgram(g).SnapshotState(),
+		"coloring": newColPackedProgram(g).SnapshotState(),
+	} {
+		if s, ok := snap.(interface{ SizeBytes() int }); !ok || s.SizeBytes() == 0 {
+			t.Errorf("%s packed snapshot reports no size", name)
 		}
 	}
 }

@@ -118,20 +118,15 @@ func PageRankConverge(g *graph.Graph, alpha, eps float64, cfg Config) (*PageRank
 	return &PageRankResult{Ranks: ranks, Stats: res.Stats}, res.Supersteps, nil
 }
 
-// PageRank runs the Pregel-paper PageRank for k iterations with
-// damping factor alpha (Table 1 row 2: O(mK) messages, balanced but
-// not BPPA because K typically exceeds log n). The rank contributions
-// sum through a combiner, which also makes every dense superstep
-// pull-eligible; the pull gather folds contributions in push-identical
-// order, so the ranks are bit-identical in either mode (see
-// runtime.Gatherer).
-func PageRank(g *graph.Graph, alpha float64, k int, cfg Config) (*PageRankResult, error) {
-	return PreparePageRank(g, alpha, k, cfg)()
-}
-
-// PreparePageRank is the job-scoped form of PageRank: the engine is
-// constructed (and the snapshot pinned) now, under whatever lock the
-// caller holds; the returned closure runs lock-free.
+// PreparePageRank prepares the Pregel-paper PageRank for k iterations
+// with damping factor alpha (Table 1 row 2: O(mK) messages, balanced
+// but not BPPA because K typically exceeds log n). The rank
+// contributions sum through a combiner, which also makes every dense
+// superstep pull-eligible; the pull gather folds contributions in
+// push-identical order, so the ranks are bit-identical in either mode
+// (see runtime.Gatherer). The engine is constructed (and the snapshot
+// pinned) now, under whatever lock the caller holds; the returned
+// closure runs lock-free.
 func PreparePageRank(g *graph.Graph, alpha float64, k int, cfg Config) func() (*PageRankResult, error) {
 	prog := &prProgram{n: g.N(), alpha: alpha, k: k}
 	ecfg := engineCfg[float64](cfg)

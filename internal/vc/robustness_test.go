@@ -35,10 +35,10 @@ func TestDegenerateUndirectedInputs(t *testing.T) {
 	for name, g := range tiny() {
 		g := g
 		t.Run(name, func(t *testing.T) {
-			if _, err := PageRank(g, 0.85, 5, Config{}); err != nil {
+			if _, err := PreparePageRank(g, 0.85, 5, Config{})(); err != nil {
 				t.Fatalf("pagerank: %v", err)
 			}
-			if _, err := HashMinCC(g, Config{}); err != nil {
+			if _, err := PrepareHashMinCC(g, Config{})(); err != nil {
 				t.Fatalf("hashmin: %v", err)
 			}
 			if _, err := SVCC(g, Config{}); err != nil {
@@ -59,7 +59,7 @@ func TestDegenerateUndirectedInputs(t *testing.T) {
 			if _, err := MCST(g, Config{}); err != nil {
 				t.Fatalf("mcst: %v", err)
 			}
-			if _, err := KCore(g, Config{}); err != nil {
+			if _, err := PrepareKCore(g, Config{})(); err != nil {
 				t.Fatalf("kcore: %v", err)
 			}
 			if _, err := Triangles(g, Config{}); err != nil {
@@ -75,7 +75,7 @@ func TestDegenerateUndirectedInputs(t *testing.T) {
 				t.Fatalf("semicluster: %v", err)
 			}
 			if g.N() > 0 {
-				if _, err := SSSP(g, 0, Config{}); err != nil {
+				if _, err := PrepareSSSP(g, 0, Config{})(); err != nil {
 					t.Fatalf("sssp: %v", err)
 				}
 				if _, err := Betweenness(g, []VertexID{0}, Config{}); err != nil {
@@ -131,7 +131,7 @@ func TestDegenerateResultsAreSane(t *testing.T) {
 	if len(m.Edges) != 1 {
 		t.Fatalf("P2 MST edges %d", len(m.Edges))
 	}
-	kc, err := KCore(g, Config{})
+	kc, err := PrepareKCore(g, Config{})()
 	if err != nil {
 		t.Fatal(err)
 	}

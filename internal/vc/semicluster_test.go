@@ -13,7 +13,7 @@ func TestPageRankConvergeMatchesFixedK(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A long fixed-K run reaches the same fixpoint.
-	fixed, err := PageRank(g, 0.85, 200, Config{Workers: 4})
+	fixed, err := PreparePageRank(g, 0.85, 200, Config{Workers: 4})()
 	if err != nil {
 		t.Fatal(err)
 	}

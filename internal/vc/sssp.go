@@ -60,16 +60,12 @@ func (p *ssspProgram) Compute(ctx *pregel.Context[ssspValue, float64], msgs []fl
 
 func (p *ssspProgram) StateUnits(v *ssspValue) int64 { return 1 }
 
-// SSSP runs the Pregel-paper Bellman–Ford style single-source shortest
-// path algorithm (Table 1 row 16: O(mn) worst-case work vs. Dijkstra's
-// near-linear bound). Weights must be non-negative.
-func SSSP(g *graph.Graph, src VertexID, cfg Config) (*SSSPResult, error) {
-	return PrepareSSSP(g, src, cfg)()
-}
-
-// PrepareSSSP is the job-scoped form of SSSP: the engine is
-// constructed (and the snapshot pinned) now, under whatever lock the
-// caller holds; the returned closure runs lock-free.
+// PrepareSSSP prepares the Pregel-paper Bellman–Ford style
+// single-source shortest path algorithm (Table 1 row 16: O(mn)
+// worst-case work vs. Dijkstra's near-linear bound). Weights must be
+// non-negative. The engine is constructed (and the snapshot pinned)
+// now, under whatever lock the caller holds; the returned closure runs
+// lock-free.
 func PrepareSSSP(g *graph.Graph, src VertexID, cfg Config) func() (*SSSPResult, error) {
 	prog := &ssspProgram{src: src}
 	ecfg := engineCfg[float64](cfg)

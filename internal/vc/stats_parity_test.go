@@ -61,7 +61,7 @@ func TestStatsParityPageRank(t *testing.T) {
 		// and stop materializing broadcasts, so the wire-level Sent
 		// totals this parity check compares against blockcentric would
 		// (correctly) drop to the boundary-only count.
-		res, err := PageRank(g, 0.85, k, Config{Workers: w, Mode: runtime.DirectionPush})
+		res, err := PreparePageRank(g, 0.85, k, Config{Workers: w, Mode: runtime.DirectionPush})()
 		if err != nil {
 			t.Fatalf("pregel workers=%d: %v", w, err)
 		}
@@ -71,7 +71,7 @@ func TestStatsParityPageRank(t *testing.T) {
 		// Pin push here too: under auto, blocks whose traffic is mostly
 		// intra-block reroute it around the wire, and Sent would
 		// (correctly) drop to the boundary-only count.
-		res, err := blockcentric.PageRank(g, 0.85, k, blockcentric.Config{Blocks: b, Mode: runtime.DirectionPush})
+		res, err := blockcentric.PreparePageRank(g, 0.85, k, blockcentric.Config{Blocks: b, Mode: runtime.DirectionPush})()
 		if err != nil {
 			t.Fatalf("blockcentric blocks=%d: %v", b, err)
 		}
@@ -132,21 +132,21 @@ func TestStatsParitySSSP(t *testing.T) {
 		}
 	}
 
-	p1, err := SSSP(g, 0, Config{Workers: 1})
+	p1, err := PrepareSSSP(g, 0, Config{Workers: 1})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := SSSP(g, 0, Config{Workers: 4})
+	p4, err := PrepareSSSP(g, 0, Config{Workers: 4})()
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(t, "pregel w1 vs w4", p1.Stats, p4.Stats)
 
-	_, g1, err := gas.SSSP(g, 0, gas.Config{Workers: 1})
+	_, g1, err := gas.PrepareSSSP(g, 0, gas.Config{Workers: 1})()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, g4, err := gas.SSSP(g, 0, gas.Config{Workers: 4})
+	_, g4, err := gas.PrepareSSSP(g, 0, gas.Config{Workers: 4})()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,13 +196,13 @@ func TestStatsParityPartitioners(t *testing.T) {
 	}
 
 	t.Run("pregel/sssp", func(t *testing.T) {
-		ref, err := SSSP(g, 0, Config{Workers: 1})
+		ref, err := PrepareSSSP(g, 0, Config{Workers: 1})()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pt := range parts {
 			for _, w := range []int{2, 4} {
-				res, err := SSSP(g, 0, Config{Workers: w, Partition: pt.p})
+				res, err := PrepareSSSP(g, 0, Config{Workers: w, Partition: pt.p})()
 				if err != nil {
 					t.Fatalf("%s/w%d: %v", pt.name, w, err)
 				}
@@ -218,12 +218,12 @@ func TestStatsParityPartitioners(t *testing.T) {
 	})
 
 	t.Run("pregel/hashmin", func(t *testing.T) {
-		ref, err := HashMinCC(g, Config{Workers: 1})
+		ref, err := PrepareHashMinCC(g, Config{Workers: 1})()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pt := range parts {
-			res, err := HashMinCC(g, Config{Workers: 3, Partition: pt.p})
+			res, err := PrepareHashMinCC(g, Config{Workers: 3, Partition: pt.p})()
 			if err != nil {
 				t.Fatalf("%s: %v", pt.name, err)
 			}
@@ -237,13 +237,13 @@ func TestStatsParityPartitioners(t *testing.T) {
 	})
 
 	t.Run("gas/sssp", func(t *testing.T) {
-		refDist, refStats, err := gas.SSSP(g, 0, gas.Config{Workers: 1})
+		refDist, refStats, err := gas.PrepareSSSP(g, 0, gas.Config{Workers: 1})()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pt := range parts {
 			for _, w := range []int{2, 4} {
-				dist, st, err := gas.SSSP(g, 0, gas.Config{Workers: w, Partition: pt.p})
+				dist, st, err := gas.PrepareSSSP(g, 0, gas.Config{Workers: w, Partition: pt.p})()
 				if err != nil {
 					t.Fatalf("%s/w%d: %v", pt.name, w, err)
 				}
@@ -269,42 +269,42 @@ func TestDriverMeasuredAccounting(t *testing.T) {
 	g := parityGraph(t)
 
 	stats := map[string]*bsp.Stats{}
-	if res, err := SSSP(g, 0, Config{Workers: 3}); err != nil {
+	if res, err := PrepareSSSP(g, 0, Config{Workers: 3})(); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["pregel/sssp"] = res.Stats
 	}
-	if res, err := PageRank(g, 0.85, 6, Config{Workers: 3}); err != nil {
+	if res, err := PreparePageRank(g, 0.85, 6, Config{Workers: 3})(); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["pregel/pagerank"] = res.Stats
 	}
-	if _, res, err := gas.SSSP(g, 0, gas.Config{Workers: 2}); err != nil {
+	if _, res, err := gas.PrepareSSSP(g, 0, gas.Config{Workers: 2})(); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["gas/sssp"] = res.Stats
 	}
-	if _, res, err := gas.PageRank(g, 0.85, 1e-7, gas.Config{Workers: 2}); err != nil {
+	if _, res, err := gas.PreparePageRank(g, 0.85, 1e-7, gas.Config{Workers: 2})(); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["gas/pagerank"] = res.Stats
 	}
-	if res, err := blockcentric.SSSP(g, 0, blockcentric.Config{Blocks: 3}); err != nil {
+	if res, err := blockcentric.PrepareSSSP(g, 0, blockcentric.Config{Blocks: 3})(); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["blockcentric/sssp"] = res.Stats
 	}
-	if res, err := blockcentric.PageRank(g, 0.85, 6, blockcentric.Config{Blocks: 3}); err != nil {
+	if res, err := blockcentric.PreparePageRank(g, 0.85, 6, blockcentric.Config{Blocks: 3})(); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["blockcentric/pagerank"] = res.Stats
 	}
-	if _, res, err := async.SSSP(g, 0, async.Config{}); err != nil {
+	if _, res, err := async.PrepareSSSP(g, 0, async.Config{})(); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["async/sssp"] = res.Stats
 	}
-	if _, res, err := async.PageRank(g, 0.85, 1e-7, async.Config{}); err != nil {
+	if _, res, err := async.PreparePageRank(g, 0.85, 1e-7, async.Config{})(); err != nil {
 		t.Fatal(err)
 	} else {
 		stats["async/pagerank"] = res.Stats
@@ -340,10 +340,10 @@ func TestDriverMeasuredAccounting(t *testing.T) {
 func TestCapSentinelCrossesEngines(t *testing.T) {
 	g := parityGraph(t)
 
-	_, pregelErr := SSSP(g, 0, Config{MaxSupersteps: 1})
-	_, _, gasErr := gas.SSSP(g, 0, gas.Config{MaxIterations: 1})
-	_, bcErr := blockcentric.SSSP(g, 0, blockcentric.Config{MaxSupersteps: 1})
-	_, _, asyncErr := async.SSSP(g, 0, async.Config{MaxUpdates: 1})
+	_, pregelErr := PrepareSSSP(g, 0, Config{MaxSupersteps: 1})()
+	_, _, gasErr := gas.PrepareSSSP(g, 0, gas.Config{MaxIterations: 1})()
+	_, bcErr := blockcentric.PrepareSSSP(g, 0, blockcentric.Config{MaxSupersteps: 1})()
+	_, _, asyncErr := async.PrepareSSSP(g, 0, async.Config{MaxUpdates: 1})()
 
 	for name, err := range map[string]error{
 		"pregel":       pregelErr,

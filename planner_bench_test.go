@@ -33,7 +33,7 @@ func BenchmarkPlanner(b *testing.B) {
 	runCC := func(b *testing.B, script []plan.Decision) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := vc.HashMinCCAuto(ccGraph, vc.AutoConfig{Config: cfg, Script: script}); err != nil {
+			if _, _, err := vc.PrepareAutoHashMinCC(ccGraph, vc.AutoConfig{Config: cfg, Script: script})(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -41,7 +41,7 @@ func BenchmarkPlanner(b *testing.B) {
 	runPR := func(b *testing.B, script []plan.Decision) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := vc.PageRankAuto(prGraph, 0.85, 20, vc.AutoConfig{Config: cfg, Script: script}); err != nil {
+			if _, _, err := vc.PrepareAutoPageRank(prGraph, 0.85, 20, vc.AutoConfig{Config: cfg, Script: script})(); err != nil {
 				b.Fatal(err)
 			}
 		}
