@@ -1,10 +1,10 @@
 package async_test
 
 import (
-	. "vcgraph/internal/async"
 	"math"
 	"testing"
 	"testing/quick"
+	. "vcgraph/internal/async"
 
 	"vcgraph/internal/graph"
 	"vcgraph/internal/seq"

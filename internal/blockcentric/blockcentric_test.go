@@ -1,9 +1,9 @@
 package blockcentric_test
 
 import (
-	. "vcgraph/internal/blockcentric"
 	"testing"
 	"testing/quick"
+	. "vcgraph/internal/blockcentric"
 
 	"vcgraph/internal/graph"
 	"vcgraph/internal/seq"

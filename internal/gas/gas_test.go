@@ -1,10 +1,10 @@
 package gas_test
 
 import (
-	. "vcgraph/internal/gas"
 	"math"
 	"testing"
 	"testing/quick"
+	. "vcgraph/internal/gas"
 
 	"vcgraph/internal/graph"
 	"vcgraph/internal/seq"

@@ -129,7 +129,7 @@ func (c *Column[V]) Reset() {
 
 // Bytes is the frame's deterministic resident-byte estimate (see
 // SnapshotSizer): the values, a delta frame's IDs, and the program
-// state when its snapshot reports SizeBytes() int, as a StateStore
+// state when its snapshot reports SizeBytes() int, as a PackedInts
 // clone does. Program state is copied whole into every frame, delta
 // frames included, so it counts on both frame kinds; state without
 // SizeBytes is opaque and counts nothing.

@@ -214,13 +214,13 @@ func FuzzColumnChain(f *testing.F) {
 // storeProg keeps its vertex state in a packed store outside the value
 // array and checkpoints a clone of it, as the packed programs in
 // internal/vc do.
-type storeProg struct{ store StateStore }
+type storeProg struct{ store *PackedInts }
 
 func (p *storeProg) SnapshotState() any { return p.store.Clone() }
 
 func (p *storeProg) RestoreState(s any) {
 	if s != nil {
-		p.store.CopyFrom(s.(StateStore))
+		p.store.CopyFrom(s.(*PackedInts))
 	}
 }
 

@@ -65,6 +65,7 @@ type Job struct {
 	lease    *Lease
 	trace    []bsp.SuperstepStats
 	cleanups []func()
+	cleaned  bool // cleanups have run
 }
 
 // ID returns the scheduler-assigned job ID.
@@ -147,11 +148,17 @@ func (j *Job) TraceSince(k int) []bsp.SuperstepStats {
 // OnCleanup registers fn to run when the job reaches a terminal state,
 // after its lease is released (LIFO order). Use it to unpin snapshots
 // or free per-job resources; cleanups run exactly once, on every exit
-// path including cancellation while queued.
+// path including cancellation while queued. A cleanup registered after
+// the job's cleanups have run (the job ended first) runs at once.
 func (j *Job) OnCleanup(fn func()) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cleanups = append(j.cleanups, fn)
+	if !j.cleaned {
+		j.cleanups = append(j.cleanups, fn)
+		j.mu.Unlock()
+		return
+	}
+	j.mu.Unlock()
+	fn()
 }
 
 // observe is the driver's publication hook: one record per completed
@@ -187,6 +194,7 @@ func (j *Job) runCleanups() {
 	j.mu.Lock()
 	fns := j.cleanups
 	j.cleanups = nil
+	j.cleaned = true
 	j.mu.Unlock()
 	for i := len(fns) - 1; i >= 0; i-- {
 		fns[i]()

@@ -237,6 +237,23 @@ func TestJobCancelMidRunFreesSlotAndRunsCleanups(t *testing.T) {
 	}
 }
 
+// TestJobCleanupAfterEnd registers a cleanup once the job has ended,
+// as a caller does after Submit when the job finishes at once (a
+// Submit after Close): it must still run.
+func TestJobCleanupAfterEnd(t *testing.T) {
+	s := NewScheduler(1, 1)
+	s.Close()
+	job := s.Submit(context.Background(), "late", 1, func(*Job) error { return nil })
+	if err := job.Wait(); !errors.Is(err, ErrClosed) || job.State() != JobCancelled {
+		t.Fatalf("job after Close: state %v err %v, want cancelled with ErrClosed", job.State(), err)
+	}
+	ran := false
+	job.OnCleanup(func() { ran = true })
+	if !ran {
+		t.Fatal("cleanup registered after the job ended never ran")
+	}
+}
+
 func TestJobTraceStreams(t *testing.T) {
 	s := NewScheduler(2, 1)
 	defer s.Close()

@@ -3,8 +3,14 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 )
+
+// ErrClosed is the cause of every job Scheduler.Close cancels, and of
+// every job submitted after it. It wraps context.Canceled, so such
+// jobs end JobCancelled.
+var ErrClosed = fmt.Errorf("runtime: scheduler closed: %w", context.Canceled)
 
 // Scheduler is the admission controller over one shared Pool: at most
 // maxJobs runs hold a lease at a time; submissions beyond that queue
@@ -21,6 +27,8 @@ type Scheduler struct {
 	inflight int
 	waiters  []*waiter
 	nextID   int64
+	closed   bool
+	live     map[*Job]struct{} // submitted jobs not yet terminal
 }
 
 // waiter is one queued Acquire. granted flags the hand-off race: a
@@ -44,7 +52,7 @@ func NewScheduler(workers, maxJobs int) *Scheduler {
 	} else {
 		pool = NewPool(workers)
 	}
-	return &Scheduler{pool: pool, maxJobs: maxJobs}
+	return &Scheduler{pool: pool, maxJobs: maxJobs, live: make(map[*Job]struct{})}
 }
 
 // Pool returns the scheduler's shared worker pool.
@@ -67,9 +75,25 @@ func (s *Scheduler) QueueLen() int {
 	return len(s.waiters)
 }
 
-// Close releases the pool's goroutines. The scheduler must be idle (no
-// in-flight or queued jobs).
-func (s *Scheduler) Close() { s.pool.Close() }
+// Close cancels every unfinished job with cause ErrClosed, waits until
+// each is terminal, and then releases the pool's goroutines. A running
+// job stops at its next superstep barrier, so no job is still
+// dispatching to the pool when it closes. Jobs submitted after Close
+// end JobCancelled. Close is idempotent.
+func (s *Scheduler) Close() {
+	s.mu.Lock()
+	s.closed = true
+	live := make([]*Job, 0, len(s.live))
+	for j := range s.live {
+		j.Cancel(ErrClosed)
+		live = append(live, j)
+	}
+	s.mu.Unlock()
+	for _, j := range live {
+		<-j.Done()
+	}
+	s.pool.Close()
+}
 
 // Acquire blocks until an admission slot is free (FIFO among waiters)
 // and returns a lease for share virtual workers. The lease's Release
@@ -156,13 +180,23 @@ func (s *Scheduler) Submit(ctx context.Context, name string, share int, fn func(
 	s.mu.Lock()
 	s.nextID++
 	id := s.nextID
-	s.mu.Unlock()
 	j := &Job{id: id, name: name, ctx: jctx, cancel: cancel, done: make(chan struct{})}
+	if s.closed {
+		cancel(ErrClosed) // Acquire fails at once: the pool is never used
+	} else {
+		s.live[j] = struct{}{}
+	}
+	s.mu.Unlock()
 
 	go func() {
 		defer close(j.done)
 		defer j.runCleanups()
 		defer cancel(nil)
+		defer func() {
+			s.mu.Lock()
+			delete(s.live, j)
+			s.mu.Unlock()
+		}()
 
 		lease, err := s.Acquire(jctx, share)
 		if err != nil {

@@ -184,7 +184,8 @@ func NewServer(opts Options) *Server {
 	}
 }
 
-// Close stops the shared pool. Outstanding jobs must be terminal.
+// Close cancels every unfinished job (cause runtime.ErrClosed), waits
+// for it, and stops the shared pool.
 func (s *Server) Close() { s.sched.Close() }
 
 // Scheduler exposes the underlying scheduler (for tests and stats).

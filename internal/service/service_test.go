@@ -422,3 +422,41 @@ func TestSubmitRejectsNegativePageRankK(t *testing.T) {
 	}
 	waitResult(t, s, job)
 }
+
+// TestCloseCancelsRunningJob closes the server while a job is mid-run:
+// Close must cancel the job, wait for it, and only then stop the pool
+// (a pool closed under a running job panics on its next phase
+// dispatch). A job submitted after Close ends cancelled.
+func TestCloseCancelsRunningJob(t *testing.T) {
+	s := New(2, 1)
+	if err := s.RegisterGraph(GraphSpec{Name: "p", Gen: "path", N: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	// Hash-Min on a long path runs one superstep per hop.
+	job, err := s.Submit(JobSpec{Graph: "p", Algo: "cc", Engine: "pregel", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job.Steps() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if st := job.State(); st != rt.JobRunning {
+		t.Fatalf("state = %v before Close, want running", st)
+	}
+	s.Close()
+	if err := job.Wait(); !errors.Is(err, rt.ErrClosed) {
+		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+	if st := job.State(); st != rt.JobCancelled {
+		t.Fatalf("state = %v, want cancelled", st)
+	}
+
+	late, err := s.Submit(JobSpec{Graph: "p", Algo: "cc", Engine: "pregel", Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := late.Wait(); !errors.Is(err, rt.ErrClosed) || late.State() != rt.JobCancelled {
+		t.Fatalf("job after Close: state %v err %v, want cancelled with ErrClosed", late.State(), err)
+	}
+	s.Close()
+}

@@ -285,7 +285,6 @@ func PrepareAutoPageRank(g *graph.Graph, alpha float64, k int, cfg AutoConfig) f
 func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *AutoResult, error) {
 	csr := g.Pin()
 	workers := autoWorkers(cfg.Config)
-	n := csr.N()
 	gs := plan.Sample(csr, workers)
 	caps := plan.Caps{Algorithm: "cc", HasCombiner: !cfg.NoCombiner, Workers: workers}
 	run := func(d plan.Decision, seed []VertexID, hook func(int, int) bool) ([]VertexID, *bsp.Stats, error) {
@@ -300,22 +299,14 @@ func PrepareAutoHashMinCC(g *graph.Graph, cfg AutoConfig) func() (*CCResult, *Au
 			ecfg.Mode = d.Plan.DirectionMode()
 			ecfg.FCSThreshold = d.Plan.FCS
 			if !cfg.NoCombiner {
-				ecfg.Combiner = func(a, b VertexID) VertexID {
-					if a < b {
-						return a
-					}
-					return b
-				}
+				ecfg.Combiner = minLabel
 			}
-			res, err := pregel.NewEngine[hashMinValue, VertexID](g, hashMinProgram{seed: seed}, ecfg).Run()
+			prog := hashMinProgram[VertexID, inValue[VertexID]]{seed: seed}
+			res, err := pregel.NewEngine[VertexID, VertexID](g, prog, ecfg).Run()
 			var vals []VertexID
 			var st *bsp.Stats
 			if res != nil {
-				vals = make([]VertexID, n)
-				for v, val := range res.Values {
-					vals[v] = val.min
-				}
-				st = res.Stats
+				vals, st = res.Values, res.Stats
 			}
 			return vals, st, err
 		case plan.EngineGAS:

@@ -15,7 +15,8 @@ import (
 //     after it was "saved", and recovery restores corrupted state.
 //
 //   - Programs with master state (fields mutated in BeforeSuperstep)
-//     or private vertex state (the *_packed.go stores) must implement
+//     or vertex state outside the value array (the packed stores of a
+//     Config.PackedState run, see vertexstate.go) must implement
 //     runtime.StateSnapshotter, or a rollback rewinds vertex state
 //     while the master keeps marching forward — e.g. the S-V phase
 //     machine would resume mid-cycle against round-0 values.
@@ -28,7 +29,8 @@ import (
 // constructed with zero-valued master state (all phase enums start at
 // iota 0), so resetting the mutable fields to their zero values is
 // exactly the initial state. Config-like fields (source lists, k, nl,
-// trace) are never touched.
+// trace) are never touched. Packed stores need no reset: superstep 0
+// rewrites them.
 
 var (
 	_ rt.ValueCloner[diamValue]    = (*diamProgram)(nil)
@@ -37,7 +39,7 @@ var (
 	_ rt.ValueCloner[triValue]     = (*triProgram)(nil)
 	_ rt.ValueCloner[simValue]     = (*simProgram)(nil)
 	_ rt.ValueCloner[eulerValue]   = eulerProgram{}
-	_ rt.ValueCloner[kcoreValue]   = kcoreProgram{}
+	_ rt.ValueCloner[kcoreValue]   = kcoreProgram[kcoreValue, kcoreMap]{}
 	_ rt.ValueCloner[mcstValue]    = (*mcstProgram)(nil)
 	_ rt.ValueCloner[scValue]      = (*scProgram)(nil)
 	_ rt.ValueCloner[ssValue]      = (*ssProgram)(nil)
@@ -50,11 +52,10 @@ var (
 	_ rt.StateSnapshotter = (*bpmProgram)(nil)
 	_ rt.StateSnapshotter = (*misProgram)(nil)
 	_ rt.StateSnapshotter = (*sccProgram)(nil)
-	_ rt.StateSnapshotter = (*colProgram)(nil)
+	_ rt.StateSnapshotter = (*colProgram[colValue, inValue[colValue]])(nil)
 	_ rt.StateSnapshotter = (*hitsProgram)(nil)
-	_ rt.StateSnapshotter = (*hashMinPackedProgram)(nil)
-	_ rt.StateSnapshotter = (*kcorePackedProgram)(nil)
-	_ rt.StateSnapshotter = (*colPackedProgram)(nil)
+	_ rt.StateSnapshotter = hashMinProgram[struct{}, packedLabels]{}
+	_ rt.StateSnapshotter = kcoreProgram[kcoreSlotsValue, kcoreSlots]{}
 )
 
 // --- vertex-value deep copies ---
@@ -92,11 +93,6 @@ func (p *simProgram) CloneValue(v simValue) simValue {
 
 func (eulerProgram) CloneValue(v eulerValue) eulerValue {
 	v.succ = maps.Clone(v.succ)
-	return v
-}
-
-func (kcoreProgram) CloneValue(v kcoreValue) kcoreValue {
-	v.nbrEst = maps.Clone(v.nbrEst)
 	return v
 }
 
@@ -220,18 +216,6 @@ func (p *sccProgram) RestoreState(s any) {
 		return
 	}
 	p.phase = s.(int)
-}
-
-type colMasterSnap struct{ phase, c int }
-
-func (p *colProgram) SnapshotState() any { return colMasterSnap{p.phase, p.c} }
-func (p *colProgram) RestoreState(s any) {
-	if s == nil {
-		p.phase, p.c = 0, 0
-		return
-	}
-	m := s.(colMasterSnap)
-	p.phase, p.c = m.phase, m.c
 }
 
 func (p *hitsProgram) SnapshotState() any { return p.norm }

@@ -75,7 +75,7 @@ func TestCloneValueDeepCopies(t *testing.T) {
 	})
 	t.Run("kcore", func(t *testing.T) {
 		orig := kcoreValue{est: 4, nbrEst: map[VertexID]int32{1: 3}}
-		c := kcoreProgram{}.CloneValue(orig)
+		c := kcoreProgram[kcoreValue, kcoreMap]{}.CloneValue(orig)
 		orig.nbrEst[1] = 9
 		if c.nbrEst[1] != 3 || c.est != 4 {
 			t.Fatal("clone aliased neighbor-estimate map")
@@ -227,7 +227,7 @@ func TestSnapshotterRoundTrip(t *testing.T) {
 		}
 	})
 	t.Run("coloring", func(t *testing.T) {
-		p := &colProgram{phase: 1, c: 3}
+		p := &colProgram[colValue, inValue[colValue]]{phase: 1, c: 3}
 		snap := p.SnapshotState()
 		p.phase, p.c = 2, 7
 		p.RestoreState(snap)

@@ -4,6 +4,7 @@ import (
 	"vcgraph/internal/bsp"
 	"vcgraph/internal/graph"
 	"vcgraph/internal/pregel"
+	rt "vcgraph/internal/runtime"
 )
 
 // Graph coloring via Luby's maximal independent set (Table 1 row 12):
@@ -43,16 +44,58 @@ type colValue struct {
 	blockedPhase int // the color phase this vertex is blocked for (-1 none)
 }
 
-type colProgram struct {
+// colProgram keeps each vertex's colValue in the vertex value (dense)
+// or in three packed stores (packedColors).
+type colProgram[V any, S vertexState[V, colValue]] struct {
+	vals  S
 	phase int // master: superstep micro-phase
 	c     int // master: current color
 }
 
-func (p *colProgram) Init(g *graph.Graph, id VertexID) colValue {
-	return colValue{color: -1, blockedPhase: -1}
+// packedColors holds color and blockedPhase shifted by +1, so the zero
+// entry means the dense -1, and tentative as one bit. Colors are
+// bounded by Δ+1 — a vertex left uncolored after a phase has a
+// neighbor that won that phase's color, and it has at most Δ neighbors
+// to lose to — so color and blockedPhase fit in ⌈log₂(Δ+3)⌉ bits.
+type packedColors struct{ color, tent, blocked *rt.PackedInts }
+
+// newPackedColoring returns the Config.PackedState program, whose
+// colValues live in packedColors.
+func newPackedColoring(g *graph.Graph) *colProgram[struct{}, packedColors] {
+	n := g.N()
+	domain := uint64(maxDegree(g)) + 3 // colors in [0, Δ+1], stored +1, plus "none"
+	s := packedColors{
+		color:   rt.NewPackedInts(n, domain),
+		tent:    rt.NewPackedInts(n, 2),
+		blocked: rt.NewPackedInts(n, domain),
+	}
+	return &colProgram[struct{}, packedColors]{vals: s}
 }
 
-func (p *colProgram) BeforeSuperstep(mc *pregel.MasterContext) {
+func (s packedColors) get(_ *struct{}, id VertexID) colValue {
+	i := int(id)
+	return colValue{
+		color:        int(s.color.Get(i)) - 1,
+		tentative:    s.tent.Get(i) == 1,
+		blockedPhase: int(s.blocked.Get(i)) - 1,
+	}
+}
+
+func (s packedColors) stores() packedStores { return packedStores{s.color, s.tent, s.blocked} }
+
+func (s packedColors) set(_ *struct{}, id VertexID, v colValue) {
+	i, tent := int(id), uint64(0)
+	if v.tentative {
+		tent = 1
+	}
+	s.color.Set(i, uint64(v.color+1))
+	s.tent.Set(i, tent)
+	s.blocked.Set(i, uint64(v.blockedPhase+1))
+}
+
+func (p *colProgram[V, S]) Init(*graph.Graph, VertexID) (v V) { return v }
+
+func (p *colProgram[V, S]) BeforeSuperstep(mc *pregel.MasterContext) {
 	if mc.Superstep() > 0 {
 		switch p.phase {
 		case colTent:
@@ -76,8 +119,12 @@ func (p *colProgram) BeforeSuperstep(mc *pregel.MasterContext) {
 	mc.SetGlobal("color", p.c)
 }
 
-func (p *colProgram) Compute(ctx *pregel.Context[colValue, colMsg], msgs []colMsg) {
-	v := ctx.Value()
+func (p *colProgram[V, S]) Compute(ctx *pregel.Context[V, colMsg], msgs []colMsg) {
+	val, id := ctx.Value(), ctx.ID()
+	v := colValue{color: -1, blockedPhase: -1}
+	if ctx.Superstep() > 0 {
+		v = p.vals.get(val, id)
+	}
 	if v.color >= 0 {
 		return
 	}
@@ -86,31 +133,31 @@ func (p *colProgram) Compute(ctx *pregel.Context[colValue, colMsg], msgs []colMs
 	case colTent:
 		v.tentative = false
 		if v.blockedPhase == c {
-			return
+			break
 		}
 		d := ctx.OutDegree()
 		if d == 0 {
 			v.color = c // trivial MIS: isolated (or everything around is colored)
-			return
+			break
 		}
 		if ctx.Rand().Float64() < 1/(2*float64(d)) {
 			v.tentative = true
-			ctx.SendToNeighbors(colMsg{Kind: colMsgTent, From: ctx.ID()})
+			ctx.SendToNeighbors(colMsg{Kind: colMsgTent, From: id})
 		}
 	case colResolve:
 		if !v.tentative {
-			return
+			break
 		}
 		win := true
 		for _, m := range msgs {
-			if m.Kind == colMsgTent && m.From < ctx.ID() {
+			if m.Kind == colMsgTent && m.From < id {
 				win = false
 				break
 			}
 		}
 		if win {
 			v.color = c
-			ctx.SendToNeighbors(colMsg{Kind: colMsgWin, From: ctx.ID()})
+			ctx.SendToNeighbors(colMsg{Kind: colMsgWin, From: id})
 		}
 	case colCleanup:
 		if len(msgs) > 0 {
@@ -138,43 +185,48 @@ func (p *colProgram) Compute(ctx *pregel.Context[colValue, colMsg], msgs []colMs
 			ctx.Aggregate("remaining", int64(1))
 		}
 	}
+	p.vals.set(val, id, v)
 }
 
-func (p *colProgram) StateUnits(v *colValue) int64 { return 3 }
+func (p *colProgram[V, S]) StateUnits(*V) int64 { return 3 }
+
+// colSnap is one checkpoint generation: the master counters and, for a
+// packed run, the stores.
+type colSnap struct {
+	phase, c int
+	packedStores
+}
+
+func (p *colProgram[V, S]) SnapshotState() any {
+	return colSnap{p.phase, p.c, p.vals.stores().snapshot()}
+}
+
+func (p *colProgram[V, S]) RestoreState(s any) {
+	snap, _ := s.(colSnap)
+	p.phase, p.c = snap.phase, snap.c
+	p.vals.stores().restore(snap.packedStores)
+}
 
 // ColoringMIS colors the graph with Luby-MIS phases. The result is
 // deterministic for a given Config.Seed.
 func ColoringMIS(g *graph.Graph, cfg Config) (*ColoringResult, error) {
-	ecfg := engineCfg[colMsg](cfg)
 	if cfg.PackedState {
-		prog := newColPackedProgram(g)
-		eng := pregel.NewEngine[struct{}, colMsg](g, prog, ecfg)
-		eng.RegisterAggregator("uncolored", pregel.SumInt64())
-		eng.RegisterAggregator("remaining", pregel.SumInt64())
-		res, err := eng.Run()
-		if err != nil {
-			return nil, err
-		}
-		out := &ColoringResult{Colors: make([]int, g.N()), K: prog.c + 1, Stats: res.Stats}
-		for v := range res.Values {
-			out.Colors[v] = int(prog.color.Get(v)) - 1
-		}
-		if g.N() == 0 {
-			out.K = 0
-		}
-		return out, nil
+		return coloringMIS(g, newPackedColoring(g), cfg)
 	}
-	prog := &colProgram{}
-	eng := pregel.NewEngine[colValue, colMsg](g, prog, ecfg)
+	return coloringMIS(g, &colProgram[colValue, inValue[colValue]]{}, cfg)
+}
+
+func coloringMIS[V any, S vertexState[V, colValue]](g *graph.Graph, p *colProgram[V, S], cfg Config) (*ColoringResult, error) {
+	eng := pregel.NewEngine[V, colMsg](g, p, engineCfg[colMsg](cfg))
 	eng.RegisterAggregator("uncolored", pregel.SumInt64())
 	eng.RegisterAggregator("remaining", pregel.SumInt64())
 	res, err := eng.Run()
 	if err != nil {
 		return nil, err
 	}
-	out := &ColoringResult{Colors: make([]int, g.N()), K: prog.c + 1, Stats: res.Stats}
-	for v, val := range res.Values {
-		out.Colors[v] = val.color
+	out := &ColoringResult{Colors: make([]int, g.N()), K: p.c + 1, Stats: res.Stats}
+	for v := range res.Values {
+		out.Colors[v] = p.vals.get(&res.Values[v], VertexID(v)).color
 	}
 	if g.N() == 0 {
 		out.K = 0

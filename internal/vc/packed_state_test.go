@@ -146,15 +146,15 @@ func TestPackedStateCCDifferential(t *testing.T) {
 }
 
 func TestPackedStateKCoreDifferential(t *testing.T) {
-	// Both graphs are simple (no parallel edges, no self-loops), which
-	// the packed k-core variant requires: its edge-slot store dedupes
-	// through the adjacency where the dense map dedupes by key.
+	// The parallel graph doubles some edges, as a mutation batch can:
+	// both storages must count a doubled neighbor once.
 	for _, gr := range []struct {
 		name string
 		g    *graph.Graph
 	}{
 		{"grid", graph.Grid(12, 12)},
 		{"powerlaw", graph.PreferentialAttachment(200, 3, 7)},
+		{"parallel", withParallelEdges(graph.PreferentialAttachment(60, 3, 3))},
 	} {
 		for _, encName := range []string{"int32", "vdelta"} {
 			g := gr.g
@@ -180,6 +180,25 @@ func TestPackedStateKCoreDifferential(t *testing.T) {
 			}})
 		}
 	}
+}
+
+// withParallelEdges returns a copy of the undirected graph src in
+// which every third edge is doubled and every seventh tripled.
+func withParallelEdges(src *graph.Graph) *graph.Graph {
+	g := graph.New(src.N(), false)
+	for i, e := range src.UndirectedEdges() {
+		copies := 1
+		if i%3 == 0 {
+			copies++
+		}
+		if i%7 == 0 {
+			copies++
+		}
+		for c := 0; c < copies; c++ {
+			g.AddEdge(e.U, e.V)
+		}
+	}
+	return g
 }
 
 // rebuildWithEncoding deep-copies a graph's adjacency into a new graph
@@ -320,9 +339,9 @@ func TestPackedStateColoringDifferential(t *testing.T) {
 					t.Fatalf("packed coloring superstep records differ from dense")
 				}
 
-				// The packed program checkpoints its master counters
-				// (the dense one cannot), so it must survive the fault
-				// matrix against its own fault-free output.
+				// The packed run checkpoints its stores and master
+				// counters, so it must survive the fault matrix with
+				// the dense fault-free output.
 				for _, fc := range faultCases() {
 					fc := fc
 					t.Run(fc.name, func(t *testing.T) {
@@ -346,7 +365,7 @@ func TestPackedStateColoringDifferential(t *testing.T) {
 // its stores into each checkpoint frame, delta frames included, so the
 // frame bytes must count them. Hash-Min's packed and dense runs save
 // the same full frames, except that packed ones carry the label store
-// where dense ones carry the hashMinValue array; the full-frame byte
+// where dense ones carry the VertexID value array; the full-frame byte
 // totals must differ by exactly that. (runtime's
 // TestColumnFrameBytesCountsSizedState covers delta frames.)
 func TestPackedStateCheckpointBytesCountState(t *testing.T) {
@@ -366,17 +385,69 @@ func TestPackedStateCheckpointBytesCountState(t *testing.T) {
 	if full == 0 || delta == 0 || packed.CheckpointsSaved != dense.CheckpointsSaved {
 		t.Fatalf("frames: dense %+v, packed %+v", dense, packed)
 	}
-	store := int64(newHashMinPackedProgram(g.N(), nil).labels.SizeBytes())
-	if want := dense.CheckpointBytesFull - full*n*rt.SizeOf[hashMinValue]() + full*store; packed.CheckpointBytesFull != want {
+	store := int64(newPackedLabels(g.N()).SizeBytes())
+	if want := dense.CheckpointBytesFull - full*n*rt.SizeOf[VertexID]() + full*store; packed.CheckpointBytesFull != want {
 		t.Fatalf("packed full-frame bytes = %d, want %d", packed.CheckpointBytesFull, want)
 	}
 
 	for name, snap := range map[string]any{
-		"kcore":    newKCorePackedProgram(g).SnapshotState(),
-		"coloring": newColPackedProgram(g).SnapshotState(),
+		"kcore":    kcoreProgram[kcoreSlotsValue, kcoreSlots]{newKCoreSlots(g)}.SnapshotState(),
+		"coloring": newPackedColoring(g).SnapshotState(),
 	} {
 		if s, ok := snap.(interface{ SizeBytes() int }); !ok || s.SizeBytes() == 0 {
 			t.Errorf("%s packed snapshot reports no size", name)
+		}
+	}
+}
+
+// TestCheckpointBytesPinned pins the checkpoint bytes of Hash-Min,
+// k-core, and coloring under both storages on a 60×60 grid (checkpoint
+// every superstep, a full frame every fourth): dense state rides the
+// Column's dirty-set deltas, packed stores are cloned whole into every
+// frame, and neither may change by accident.
+func TestCheckpointBytesPinned(t *testing.T) {
+	g := graph.Grid(60, 60)
+	cfg := func(packed bool) Config {
+		return Config{Workers: 4, Seed: 1, PackedState: packed,
+			RunEnv: rt.RunEnv{CheckpointEvery: 1, FullSnapshotEvery: 4}}
+	}
+	for _, tc := range []struct {
+		algo        string
+		packed      bool
+		full, delta int64
+	}{
+		{"hashmin", false, 1625400, 3419508},
+		{"hashmin", true, 1366200, 3278756},
+		{"kcore", false, 1515696, 867464},
+		{"kcore", true, 969336, 883136},
+		{"coloring", false, 16073120, 50446872},
+		{"coloring", true, 10832024, 34973160},
+	} {
+		var st *bsp.Stats
+		var err error
+		switch tc.algo {
+		case "hashmin":
+			var res *CCResult
+			if res, err = PrepareHashMinCC(g, cfg(tc.packed))(); err == nil {
+				st = res.Stats
+			}
+		case "kcore":
+			var res *KCoreResult
+			if res, err = PrepareKCore(g, cfg(tc.packed))(); err == nil {
+				st = res.Stats
+			}
+		case "coloring":
+			var res *ColoringResult
+			if res, err = ColoringMIS(g, cfg(tc.packed)); err == nil {
+				st = res.Stats
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s packed=%v: %v", tc.algo, tc.packed, err)
+		}
+		if r := st.Recovery; r.CheckpointBytesFull != tc.full || r.CheckpointBytesDelta != tc.delta {
+			t.Errorf("%s packed=%v: checkpoint bytes full %d delta %d, want %d %d",
+				tc.algo, tc.packed, r.CheckpointBytesFull, r.CheckpointBytesDelta, tc.full, tc.delta)
 		}
 	}
 }

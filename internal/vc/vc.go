@@ -52,14 +52,11 @@ type Config struct {
 	// FCS enables finishing-computations-serially with the given
 	// active-vertex threshold for algorithms that support it (Hash-Min).
 	FCS int
-	// PackedState selects the bit-packed vertex-state variant for the
-	// small-domain algorithms that have one (Hash-Min CC, k-core,
-	// coloring): per-vertex state lives in a PackedInts store at
-	// ⌈log₂ domain⌉ bits per entry instead of a full value slot. The
-	// message flow is unchanged, so packed runs are byte-identical to
-	// dense ones (see the differential suite). K-core additionally
-	// assumes a simple graph: its dense variant dedupes parallel edges
-	// through a map, its packed variant through the adjacency itself.
+	// PackedState keeps the vertex state of the small-domain
+	// algorithms (Hash-Min CC, k-core, coloring) in PackedInts stores
+	// at ⌈log₂ domain⌉ bits per entry instead of a full value slot. The
+	// program is the same either way, so packed runs are byte-identical
+	// to dense ones (see the differential suite).
 	PackedState bool
 	// Pool, when non-nil, leases workers from a shared pool instead of
 	// a private one (see runtime.DriverConfig).
